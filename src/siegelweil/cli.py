@@ -11,12 +11,15 @@ Verbs::
 The optional positional argument is a configuration file: flat ``key = value``
 text, ``#`` to end of line is a comment, one key per line.  Recognized keys
 are ``disc``, ``xi``, ``alpha``, ``tau``, ``format``, ``tol``,
-``calibration_alpha``, ``jobs``, ``lattice_scale``, ``lattice_ideal``; the
-command-line flags of the same names override file values.  Target lists are
-written either as an inclusive integer range ``a..b`` (zero is dropped) or as
-a comma list of nonzero rationals.  ``lattice_scale`` / ``lattice_ideal``
-(``principal`` or ``prime:p``) choose the lattice inspected by ``densities``;
-the sweeps always use the canonical family, where the choice averages out.
+``calibration_alpha``, ``jobs``, ``lattice_scale``, ``lattice_ideal``.  The
+first seven also have command-line flags (``--calibration-alpha`` for
+``calibration_alpha``), which override file values; ``jobs``,
+``lattice_scale`` and ``lattice_ideal`` are configuration-file keys only.
+Target lists are written either as an inclusive integer range ``a..b`` (zero
+is dropped) or as a comma list of nonzero rationals.  ``lattice_scale`` /
+``lattice_ideal`` (``principal`` or ``prime:p``) choose the lattice inspected
+by ``densities``; the sweeps always use the canonical family, where the
+choice averages out.
 
 Reports go to stdout, diagnostics to stderr.  Row work is dispatched to a
 process pool (``jobs`` workers) after the single-threaded calibration phase;

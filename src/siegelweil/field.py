@@ -1,10 +1,10 @@
 """Exact arithmetic for imaginary quadratic fields.
 
 Everything here is plain rational arithmetic: Kronecker/Legendre symbols,
-Hilbert symbols with an exhaustive congruence oracle as cross-check, additive
-character phases, binary quadratic form composition (class groups), fractional
-ideals in Hermite normal form, and a small exact number type for quantities of
-the shape  q0 + sum_p c_p * log p.
+Hilbert symbols, quadratic congruence counts, additive character phases,
+binary quadratic form composition (class groups), fractional ideals in
+Hermite normal form, and a small exact number type for quantities of the
+shape  q0 + sum_p c_p * log p.
 
 Discriminants are always fundamental and negative; elements of E = Q(sqrt(D))
 are stored as coordinate pairs (x, y) of Fractions meaning x + y*sqrt(D).
@@ -23,19 +23,20 @@ INF = "inf"
 # small p-adic helpers
 
 
+def _strip(n, p):
+    """(v, n / p^v) for a nonzero int n with v = val_p(n)."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def val(x, p):
     """p-adic valuation of a nonzero rational (int or Fraction)."""
     x = Fraction(x)
     assert x != 0, "valuation of zero requested"
-    v = 0
-    n, d = x.numerator, x.denominator
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _strip(x.numerator, p)[0] - _strip(x.denominator, p)[0]
 
 
 def unit_part(x, p):
@@ -54,7 +55,7 @@ def unit_mod(x, p, k=1):
 
 def legendre(a, p):
     """Legendre symbol (a/p) for odd prime p; a a p-adic unit rational."""
-    r = unit_mod(a, p)
+    r = a % p if isinstance(a, int) else unit_mod(a, p)
     s = pow(r, (p - 1) // 2, p)
     return -1 if s == p - 1 else s
 
@@ -78,10 +79,13 @@ def prime_divisors(n):
 # quadratic congruence counting
 #
 # sqrt_count is the classical closed form for #{x mod p^k : x^2 == d}; on top
-# of it binary_form_count counts solutions of a binary quadratic congruence in
-# O(p^k) per call via the identity 4A*F(x,y) = (2Ax + By)^2 - disc*y^2, which
-# turns the x-count for fixed y into a single square-root count.  These two
-# are the workhorses for local densities and local lattice fingerprints.
+# of it the counters use 4A*F(x,y) = (2Ax + By)^2 - disc*y^2, which turns the
+# x-count for fixed y into a single square-root count.  Both counters first
+# clear the (p-unit) denominators, so they run on Python ints.
+# binary_form_count_fast is the production engine: local densities need it
+# only at p | 2*disc (at odd unimodular primes they have a closed form), and
+# so do the 2-adic lattice fingerprints.  The O(p^k) binary_form_count and
+# the brute-force enumeration below are test oracles.
 
 
 def sqrt_count(d, p, k):
@@ -92,10 +96,7 @@ def sqrt_count(d, p, k):
     d %= p**k
     if d == 0:
         return p ** (k - (k + 1) // 2)
-    v = 0
-    while d % p == 0:
-        d //= p
-        v += 1
+    v, d = _strip(d, p)
     if v % 2:
         return 0
     t = k - v
@@ -110,36 +111,38 @@ def sqrt_count(d, p, k):
     return base * p ** (v // 2)
 
 
-def _rotate_unit_lead(A, B, C, p):
-    """Basis change making the x^2-coefficient a p-unit; requires the form to
-    have p-content zero (some value among A, C, A+B+C is a unit)."""
-    if A != 0 and val(A, p) == 0:
-        return A, B, C
-    if C != 0 and val(C, p) == 0:
-        return C, B, A
+def _integral_unit_lead(form, t, p):
+    """The form and target as ints (A, B, C), t with A a p-unit.
+
+    Both are multiplied by the lcm of their denominators, a p-unit for
+    p-integral data, which leaves every congruence count unchanged; then a
+    basis change moves a unit value into the x^2 slot, which requires the
+    form to have p-content zero (some value among A, C, A+B+C is a unit)."""
+    A, B, C = (Fraction(z) for z in form)
+    t = Fraction(t)
+    den = math.lcm(A.denominator, B.denominator, C.denominator, t.denominator)
+    assert den % p, "p-integral data required"
+    A, B, C, t = (int(x * den) for x in (A, B, C, t))
+    if A % p:
+        return A, B, C, t
+    if C % p:
+        return C, B, A, t
     A2 = A + B + C
-    assert A2 != 0 and val(A2, p) == 0, "form has positive p-content"
-    return A2, B + 2 * C, C
+    assert A2 % p, "form has positive p-content"
+    return A2, B + 2 * C, C, t
 
 
 def binary_form_count(form, t, p, k):
     """#{(x,y) mod p^k : F(x,y) == t (mod p^k)} for a p-integral form with
-    p-content zero and p-integral t.  Exact, O(p^k)."""
+    p-content zero and p-integral t.  Exact, O(p^k); a test oracle for
+    binary_form_count_fast."""
     if k == 0:
         return 1
-    A, B, C = (Fraction(z) for z in form)
-    t = Fraction(t)
-    assert all(x == 0 or val(x, p) >= 0 for x in (A, B, C, t)), "p-integral data required"
-    A, B, C = _rotate_unit_lead(A, B, C, p)
+    A, B, C, t = _integral_unit_lead(form, t, p)
     disc = B * B - 4 * A * C
-    pk = p**k
-    kk = k if p != 2 else k + 2
-    mod = p**kk
-    disc_i = unit_mod(disc, p, kk) if disc != 0 else 0
-    fourAt = unit_mod(4 * A * t, p, kk) if t != 0 else 0
     total = 0
-    for y in range(pk):
-        c = (disc_i * y * y + fourAt) % mod
+    for y in range(p**k):
+        c = disc * y * y + 4 * A * t
         if p != 2:
             total += sqrt_count(c, p, k)
         else:
@@ -157,21 +160,15 @@ def binary_form_count_fast(form, t, p, k):
     """
     if k == 0:
         return 1
-    A, B, C = (Fraction(z) for z in form)
-    t = Fraction(t)
-    assert all(x == 0 or val(x, p) >= 0 for x in (A, B, C, t)), "p-integral data required"
-    A, B, C = _rotate_unit_lead(A, B, C, p)
+    A, B, C, t = _integral_unit_lead(form, t, p)
     disc = B * B - 4 * A * C
     assert disc != 0
     fourAt = 4 * A * t
     K = k if p != 2 else k + 2
     margin = 3 if p == 2 else 1
     bump = 1 if p == 2 else 0
-    d = val(disc, p)
-
-    def term(c):
-        sc = sqrt_count(unit_mod(c, p, K) if c else 0, p, K)
-        return sc // 2 if p == 2 else sc
+    d = _strip(disc, p)[0]
+    half = 2 if p == 2 else 1
 
     total = 0
     stack = [(0, 0)]
@@ -179,15 +176,17 @@ def binary_form_count_fast(form, t, p, k):
         y0, j = stack.pop()
         c = disc * y0 * y0 + fourAt
         if j >= k:
-            total += term(c)
+            total += sqrt_count(c, p, K) // half
             continue
-        # c varies over the class y0 + p^j Z by at least p^(d + min(j+bump, 2j))
+        # c varies over the class y0 + p^j Z by at least p^(d + min(j+bump, 2j)),
+        # so the class has settled once val(c) <= dlow - margin
         dlow = d + min(j + bump, 2 * j)
-        if dlow >= K or (c != 0 and val(c, p) + margin <= dlow):
-            total += p ** (k - j) * term(c)
+        if dlow >= K or (dlow >= margin and c % p ** (dlow - margin + 1)):
+            total += p ** (k - j) * (sqrt_count(c, p, K) // half)
         else:
+            pj = p**j
             for r in range(p):
-                stack.append((y0 + r * p**j, j + 1))
+                stack.append((y0 + r * pj, j + 1))
     return total
 
 
@@ -299,14 +298,23 @@ def ramified_primes(D):
 # the symbol is -1 exactly when both arguments are negative.
 
 
+def _val_unit(x, p):
+    """(val_p(x), r) for a nonzero Fraction x, where the int r is the
+    numerator times the denominator of the unit part: a p-unit in the unit
+    part's square class, so r mod p (or mod 8 at p = 2) is all a symbol needs."""
+    vn, n = _strip(x.numerator, p)
+    vd, d = _strip(x.denominator, p)
+    return vn - vd, n * d
+
+
 def hilbert_symbol(a, b, v):
     a, b = Fraction(a), Fraction(b)
     assert a != 0 and b != 0
     if v == INF:
         return -1 if (a < 0 and b < 0) else 1
     p = v
-    alpha, beta = val(a, p), val(b, p)
-    u, w = unit_part(a, p), unit_part(b, p)
+    alpha, u = _val_unit(a, p)
+    beta, w = _val_unit(b, p)
     if p != 2:
         sign = 1
         if alpha % 2 and beta % 2 and ((p - 1) // 2) % 2:
@@ -316,37 +324,11 @@ def hilbert_symbol(a, b, v):
         if alpha % 2:
             sign *= legendre(w, p)
         return sign
-    u8, w8 = unit_mod(u, 2, 3), unit_mod(w, 2, 3)
+    u8, w8 = u % 8, w % 8
     eps_u, eps_w = ((u8 - 1) // 2) % 2, ((w8 - 1) // 2) % 2
     om_u, om_w = ((u8 * u8 - 1) // 8) % 2, ((w8 * w8 - 1) // 8) % 2
     exponent = eps_u * eps_w + alpha * om_w + beta * om_u
     return -1 if exponent % 2 else 1
-
-
-def hilbert_symbol_by_counting(a, b, p):
-    """Independent oracle: decide solvability of z^2 = a x^2 + b y^2 over Q_p
-    by exhaustive search for primitive solutions modulo p^k.
-
-    Slow; meant for cross-checking the closed forms on small inputs.  The
-    precision k is chosen large enough that a primitive solution modulo p^k
-    certifies a genuine p-adic one (Hensel, using the smoothness of the conic
-    away from the locus controlled by val(4ab))."""
-    a, b = Fraction(a), Fraction(b)
-    a *= Fraction(a.denominator) ** 2  # square rescale: same symbol
-    b *= Fraction(b.denominator) ** 2
-    A, B = int(a), int(b)
-    k = val(4 * A * B, p) + 3
-    mod = p**k
-    squares = {}
-    for z in range(mod):
-        squares.setdefault(z * z % mod, []).append(z)
-    for x in range(mod):
-        for y in range(mod):
-            t = (A * x * x + B * y * y) % mod
-            for z in squares.get(t, ()):
-                if x % p or y % p or z % p:
-                    return 1
-    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +583,6 @@ def unit_count(D):
     return {-3: 6, -4: 4}.get(D, 2)
 
 
-def aut_weight_denominator(D):
-    """w = #O_E^x / 2: the automorphism weight denominator of each point."""
-    return unit_count(D) // 2
-
-
 # ---------------------------------------------------------------------------
 # field elements and fractional ideals
 #
@@ -623,11 +600,6 @@ def elt(x, y=0):
 def elt_mul(u, v, D):
     (x1, y1), (x2, y2) = u, v
     return (x1 * x2 + D * y1 * y2, x1 * y2 + x2 * y1)
-
-
-def elt_conj(u):
-    x, y = u
-    return (x, -y)
 
 
 def elt_norm(u, D):

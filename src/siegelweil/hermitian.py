@@ -22,13 +22,12 @@ from functools import lru_cache
 from .field import (
     INF,
     Ideal,
-    binary_form_count,
+    binary_form_count_fast,
     form_to_ideal,
     hilbert_symbol,
     is_fundamental_discriminant,
     legendre,
     prime_divisors,
-    reduce_form,
     splitting_type,
     unit_mod,
     unit_part,
@@ -226,10 +225,6 @@ class Lattice:
         sign = 1 if ai > 0 else -1
         return Fraction(sign * g, den), (sign * ai // g, sign * bi // g, sign * ci // g)
 
-    def isometry_key(self):
-        m, f = self.integer_form()
-        return (m, reduce_form(f))
-
     def vectors(self, alpha):
         """All (x, y) in Z^2 with Q(x*g1 + y*g2) == alpha (alpha != 0)."""
         alpha = Fraction(alpha)
@@ -323,7 +318,7 @@ def local_class_key(form, p):
     for v in range(vd + 3):
         k = v + vd + 4
         for u in (1, 3, 5, 7):
-            probes.append(binary_form_count((A, B, C), 2**v * u, 2, k))
+            probes.append(binary_form_count_fast((A, B, C), 2**v * u, 2, k))
     return ("even", m, vd, unit_mod(unit_part(disc, 2), 2, 3), tuple(probes))
 
 

@@ -1,17 +1,22 @@
 """Local densities, central values, and their derivatives at finite places.
 
 Everything here is exact rational arithmetic.  The density of a binary form
-at a target is the stable value of (solution count mod p^k) / p^k; dividing
-by the appropriate covolume and Dirichlet factor turns it into the central
-value of the local Whittaker function, normalized so that the unramified
-self-dual lattice takes value 1 on unit targets.  At the one bad place of an
-incoherent collection the central value vanishes and the derivative appears
-instead; it telescopes into a finite sum of central values along divisions
-by the norm uniformizer, with a log p coefficient kept symbolic (LogLinear).
+at a target is the stable value of (solution count mod p^k) / p^k.  At an odd
+prime where the content-stripped form is unimodular it has a closed form
+(Kudla-Rapoport-Yang; T. Yang, J. Number Theory 1998); only at p | 2*disc is
+it counted, by the fast congruence counter scanned until the ratio settles.
+Dividing by the appropriate covolume and Dirichlet factor turns the density
+into the central value of the local Whittaker function, normalized so that
+the unramified self-dual lattice takes value 1 on unit targets.  At the one
+bad place of an incoherent collection the central value vanishes and the
+derivative appears instead; it telescopes into a finite sum of central
+values along divisions by the norm uniformizer, with a log p coefficient
+kept symbolic (LogLinear).
 
 The shell-sum oracle at the bottom recomputes the same quantities from the
-defining oscillatory sums by raw enumeration; it exists so the engine can be
-cross-checked, not for speed.
+defining oscillatory sums by raw enumeration.  It and density_sequence exist
+so the closed form and the counting engine can be cross-checked, not for
+speed.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .field import (
     binary_form_count_fast,
     hilbert_symbol,
     kronecker,
-    unit_part,
+    legendre,
     val,
 )
 
@@ -61,15 +66,26 @@ def _density_stable(form, alpha, p):
 
 
 def local_density(form, alpha, p):
-    """Stable solution density of form == alpha over Z_p (alpha != 0)."""
+    """Stable solution density of form == alpha over Z_p (alpha != 0).
+
+    After stripping the form's p-content, an odd p with the stripped
+    discriminant a p-unit has the closed form (1 - chi/p) * sum_{j<=v} chi^j,
+    chi = (disc/p) and v = val_p of the stripped target; only p | 2*disc
+    runs the counter."""
     alpha = Fraction(alpha)
     assert alpha != 0
     form = tuple(Fraction(x) for x in form)
     m = _content(form, p)
-    if val(alpha, p) < m:
+    v = val(alpha, p) - m
+    if v < 0:
         return Fraction(0)
-    stripped = tuple(x / p**m for x in form)
-    return p**m * _density_stable(stripped, alpha / p**m, p)
+    scale = Fraction(p) ** m
+    A, B, C = (x / scale for x in form)
+    disc = B * B - 4 * A * C
+    if p != 2 and val(disc, p) == 0:
+        chi = legendre(disc, p)
+        return scale * (1 - Fraction(chi, p)) * sum(chi**j for j in range(v + 1))
+    return scale * _density_stable((A, B, C), alpha / scale, p)
 
 
 def density_sequence(form, alpha, p, kmax):

@@ -145,6 +145,17 @@ def test_main_verify_passes(capsys):
     assert all(r.endswith("true") for r in rows)
 
 
+def test_main_verify_with_a_denominator_in_xi(capsys):
+    """xi = -1/5 puts 5 in the denominators of every norm form; the finite
+    rows still compare exact rationals and all pass."""
+    code = main(["verify", "--disc", "-23", "--xi", "-1/5", "--alpha", "-20..40",
+                 "--format", "csv"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 60
+    assert [r for r in rows if not r.endswith("true")] == []
+    assert code == 0
+
+
 def test_main_config_error(capsys):
     assert main(["verify", "--disc", "-9"]) == 2
     assert "configuration error" in capsys.readouterr().err

@@ -148,20 +148,50 @@ def test_hilbert_symbol_against_solubility(p):
         assert hilbert_symbol(a, b, p) == _hilbert_by_counting(a, b, p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hilbert_symbol_on_rationals_against_solubility(p):
+    """p in the numerator and the denominator.  Rescaling by squares gives an
+    integer of p-valuation 0 or 1 with the same symbol, which the counting
+    oracle decides at its fixed precision."""
+    def rescaled(x):
+        x = x * x.denominator**2
+        return x / Fraction(p) ** (2 * (val(x, p) // 2))
+
+    rng = random.Random(100 + p)
+    units = [u for u in range(1, 16) if u % p]
+    for _ in range(12):
+        a, b = (
+            Fraction(rng.choice([1, -1]) * rng.choice(units), rng.choice(units))
+            * Fraction(p) ** rng.randint(-2, 2)
+            for _ in range(2)
+        )
+        assert hilbert_symbol(a, b, p) == _hilbert_by_counting(rescaled(a), rescaled(b), p), (a, b)
+
+
 def test_hilbert_symbol_identities():
     rng = random.Random(5)
     places = [2, 3, 5, 7, 11, INF]
+    cases = []
     for _ in range(40):
         a = Fraction(rng.randint(-30, 30)) or Fraction(1)
         b = Fraction(rng.randint(-30, 30)) or Fraction(-1)
         c = Fraction(rng.randint(1, 20))
+        cases.append((a, b, c))
+    for _ in range(40):  # rational arguments, denominators included
+        a = Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 30))
+        b = Fraction(rng.randint(-30, 30) or -1, rng.randint(1, 30))
+        c = Fraction(rng.randint(1, 20), rng.randint(1, 20))
+        cases.append((a, b, c))
+    for a, b, c in cases:
         for v in places:
             h = hilbert_symbol
             assert h(a, b, v) == h(b, a, v)
             assert h(a * c * c, b, v) == h(a, b, v)
             assert h(a, -a, v) == 1
         # product formula over all places of the support
-        support = set(prime_divisors((a * b).numerator * (a * b).denominator)) | {2, INF}
+        support = {2, INF}
+        for x in (a, b):
+            support |= set(prime_divisors(x.numerator * x.denominator))
         prod = 1
         for v in sorted(support, key=lambda x: (x == INF, x)):
             prod *= hilbert_symbol(a, b, v)
@@ -257,10 +287,16 @@ def test_sqrt_count_closed_form(p, k):
 def test_binary_form_count_three_routes_agree():
     rng = random.Random(17)
     forms = [(1, 0, 1), (1, 1, 6), (2, 1, 3), (-1, -1, -1), (3, 0, 25)]
+    # p-integral rational data: denominators 7 and 11 are prime to every p here
+    forms += [
+        (Fraction(1, 7), Fraction(1, 7), Fraction(6, 7)),
+        (Fraction(2, 11), 1, Fraction(3, 77)),
+        (Fraction(5, 7), Fraction(-4, 11), 0),
+    ]
     for p, k in [(2, 3), (2, 4), (3, 3), (5, 2)]:
         for form in forms:
-            for _ in range(4):
-                t = rng.randrange(p ** k)
+            for i in range(6):
+                t = Fraction(rng.randrange(p ** k), 1 if i < 4 else rng.choice([7, 11, 77]))
                 n_loop = binary_form_count(form, t, p, k)
                 n_fast = binary_form_count_fast(form, t, p, k)
                 n_brute = binary_form_count_bruteforce(form, t, p, k)
@@ -271,6 +307,8 @@ def test_binary_form_count_rational_data_needs_the_brute_route():
     # the fast engines are contracts over p-integral forms
     with pytest.raises(AssertionError):
         binary_form_count((Fraction(1, 2), 0, 1), 0, 2, 3)
+    with pytest.raises(AssertionError):
+        binary_form_count_fast((1, 0, 1), Fraction(1, 2), 2, 3)
     n = binary_form_count_bruteforce((Fraction(1, 2), 0, 1), Fraction(1, 2), 2, 3, level=4)
     assert n >= 0
 

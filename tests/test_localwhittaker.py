@@ -3,11 +3,12 @@
 Everything here is exact rational arithmetic; the brute threshold measures
 serve as the independent oracle for the fast counting engine."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from siegelweil.field import LogLinear, kronecker, val
+from siegelweil.field import LogLinear, is_fundamental_discriminant, kronecker, reduced_forms, val
 from siegelweil.hermitian import Collection, LocalSpace, coherent_neighbor
 from siegelweil.localwhittaker import (
     central_derivative,
@@ -84,6 +85,44 @@ def test_density_sequence_stabilizes_to_the_density():
         v = max(0, val(a, p))
         seq = density_sequence(form, a, p, v + 5)
         assert seq[-1] == seq[-2] == den, (form, a, p)
+
+
+def test_closed_form_matches_the_counted_density():
+    """At odd p prime to D the density of s*f (f reduced, s any scale) has a
+    closed form; it must equal p^m times the stabilised count of the
+    content-stripped form, m = val_p(s), and stay an exact rational."""
+    rng = random.Random(29)
+    discs = [D for D in range(-300, -2) if is_fundamental_discriminant(D)]
+    for _ in range(150):
+        D = rng.choice(discs)
+        f = rng.choice(reduced_forms(D))
+        p = rng.choice([q for q in (3, 5, 7, 11, 13) if D % q])
+        units = [u for u in range(1, 30) if u % p]
+        m, v = rng.randint(-2, 2), rng.randint(0, 4)
+        pm = Fraction(p) ** m
+        s = Fraction(rng.choice([1, -1]) * rng.choice(units), rng.choice(units)) * pm
+        u = Fraction(rng.choice([1, -1]) * rng.choice(units), rng.choice(units))
+        alpha = pm * p**v * u
+        den = local_density(tuple(s * x for x in f), alpha, p)
+        seq = density_sequence(tuple(s / pm * x for x in f), alpha / pm, p, v + 3)
+        assert seq[-1] == seq[-2] == seq[-3], (f, s, alpha, p)
+        assert type(den) is Fraction and den == pm * seq[-1], (f, s, alpha, p)
+
+
+@pytest.mark.parametrize("form,alpha,p", [
+    ((Fraction(1, 5), 0, Fraction(1, 5)), Fraction(2, 5), 5),  # closed form, split p
+    ((Fraction(1, 9), 0, Fraction(1, 9)), Fraction(2, 9), 3),  # closed form, inert p
+    ((Fraction(1, 2), 0, Fraction(1, 2)), Fraction(5, 2), 2),  # counted at 2
+    ((Fraction(1, 23), Fraction(1, 23), Fraction(6, 23)), Fraction(2, 23), 23),  # p | D
+])
+def test_density_of_a_form_with_p_in_its_denominators(form, alpha, p):
+    """A scale with a denominator at p (for instance xi = -1/5) makes the
+    content negative; the density stays an exact Fraction and scales out."""
+    m = min(val(x, p) for x in form if x != 0)
+    pm = Fraction(p) ** m
+    den = local_density(form, alpha, p)
+    assert type(den) is Fraction
+    assert den == pm * local_density(tuple(x / pm for x in form), alpha / pm, p) != 0
 
 
 def test_zero_valuation_cutoff():
