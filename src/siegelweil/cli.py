@@ -25,7 +25,8 @@ Reports go to stdout, diagnostics to stderr.  Row work is dispatched to a
 process pool (``jobs`` workers) after the single-threaded calibration phase;
 assembly keeps target order, so identical configurations produce
 byte-identical output.  Exit codes: 0 all rows pass, 1 some row fails,
-2 configuration error, 3 internal (calibration or stabilization) error.
+2 configuration error, 3 internal (calibration, stabilization or
+neighbor construction) error.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from fractions import Fraction
 
 from . import eisenstein
 from .archwhittaker import arch_central_value
-from .field import INF, Ideal, is_fundamental_discriminant, splitting_type, val
-from .hermitian import Collection, Lattice, coherent_neighbor
+from .field import INF, Ideal, is_fundamental_discriminant, splitting_type, support_primes, val
+from .hermitian import Collection, InternalError, Lattice, coherent_neighbor
 from .localwhittaker import _form_slack, central_value, shell_coefficients
 from .cycles import arithmetic_degree
 
@@ -353,11 +354,6 @@ def run_verify(config):
     meta = _calibration_meta(config)
     meta["tau"] = str(config.tau)
     meta["tolerance"] = config.tol
-    coll = Collection(config.disc, config.xi)
-    for alpha in config.alphas:          # warm the neighbor caches up front
-        diff = coll.diff_set(alpha)
-        if len(diff) == 1 and diff[0] != INF:
-            coherent_neighbor(config.disc, config.xi, diff[0])
     items = [
         (config.disc, config.xi, a, config.tau, config.tol, config.calibration_alpha)
         for a in config.alphas
@@ -402,7 +398,7 @@ def run_densities(config):
         "form": [str(c) for c in form],
     }
     items = [
-        (config.disc, form, a, tuple(eisenstein._support(config.disc, a, (lattice.scale,))))
+        (config.disc, form, a, tuple(support_primes(2 * config.disc, a, lattice.scale)))
         for a in config.alphas
     ]
     chunks = _map_rows(_density_item, items, config.jobs)
@@ -557,7 +553,7 @@ def main(argv=None):
                 file=sys.stderr,
             )
         return 3
-    except AssertionError as e:
+    except (AssertionError, InternalError) as e:
         print(f"internal error: {e!r}", file=sys.stderr)
         return 3
     sys.stdout.buffer.write(emit(report, config.fmt))

@@ -18,11 +18,10 @@ it directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .archwhittaker import arch_green_factor
-from .field import INF, LogLinear, class_group, unit_count
-from .hermitian import Collection, Lattice, coherent_neighbor
+from .field import INF, LogLinear, weight_denominator
+from .hermitian import Collection, coherent_neighbor
 
 _DEPTH_LIMIT = 64
 
@@ -66,16 +65,6 @@ def assemble_arch_degree(rep_count, w, alpha, y):
     return LogLinear(0, {}, Fraction(rep_count, w) * arch_green_factor(alpha, y))
 
 
-@lru_cache(maxsize=None)
-def _neighbor(D, xi, place):
-    return coherent_neighbor(D, xi, place)
-
-
-@lru_cache(maxsize=None)
-def _class_group(D):
-    return class_group(D)
-
-
 def cycle_points(D, xi, alpha):
     """The finite-place cycle as explicit data: (p, f, list of (class index,
     vector, depth)).  Requires the target to be missed exactly at one finite
@@ -84,9 +73,9 @@ def cycle_points(D, xi, alpha):
     diff = coll.diff_set(alpha)
     assert len(diff) == 1 and diff[0] != INF
     p = diff[0]
-    neighbor = _neighbor(D, Fraction(xi), p)
+    neighbor = coherent_neighbor(D, Fraction(xi), p)
     points = []
-    for idx, lattice in enumerate(neighbor.family(_class_group(D))):
+    for idx, lattice in enumerate(neighbor.family):
         for vec in _vector_elements(lattice, alpha):
             points.append((idx, vec, divisibility_depth(vec, lattice, neighbor.prime)))
     return p, neighbor.f, points
@@ -105,13 +94,9 @@ def arithmetic_degree(D, xi, alpha, y=1):
     assert diff, "incoherent collections miss every target somewhere"
     if len(diff) >= 2:
         return LogLinear(0)
-    w = unit_count(D) // 2
-    place = diff[0]
-    if place == INF:
-        neighbor = _neighbor(D, xi, INF)
-        reps = sum(
-            L.rep_number(alpha) for L in neighbor.family(_class_group(D))
-        )
+    w = weight_denominator(D)
+    if diff == [INF]:
+        reps = sum(L.rep_number(alpha) for L in coherent_neighbor(D, xi, INF).family)
         return assemble_arch_degree(reps, w, alpha, y)
     p, f, points = cycle_points(D, xi, alpha)
     return assemble_finite_degree([d for (_, _, d) in points], f, w, p)

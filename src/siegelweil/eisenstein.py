@@ -21,14 +21,22 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .archwhittaker import arch_central_derivative, arch_central_value
-from .field import INF, LogLinear, class_group, hilbert_symbol, prime_divisors, ramified_primes, unit_count
+from .field import (
+    INF,
+    LogLinear,
+    class_group,
+    hilbert_symbol,
+    ramified_primes,
+    support_primes,
+    weight_denominator,
+)
 from .hermitian import Collection, Lattice, coherent_neighbor
 from .localwhittaker import central_derivative, central_value
 
 
 def stack_mass(D):
     """h(D) / (#units/2): the weighted point count of the moduli stack."""
-    return Fraction(class_group(D).h * 2, unit_count(D))
+    return Fraction(class_group(D).h, weight_denominator(D))
 
 
 def distinguished_flip_prime(D):
@@ -39,36 +47,30 @@ def distinguished_flip_prime(D):
     return cand[0]
 
 
-@lru_cache(maxsize=None)
-def _sw_neighbor(D, xi):
-    return coherent_neighbor(D, xi, distinguished_flip_prime(D))
+def _sw_family(D, xi):
+    """The genus family of the coherent neighbor at the distinguished prime."""
+    return coherent_neighbor(D, xi, distinguished_flip_prime(D)).family
 
 
-@lru_cache(maxsize=None)
-def _family(D, xi):
-    return tuple(_sw_neighbor(D, xi).family(class_group(D)))
-
-
-def _weight_denominator(D):
-    return unit_count(D) // 2
+def _family_average(fam, D, alpha, p):
+    return sum(central_value(D, L.norm_form(), alpha, p) for L in fam) / len(fam)
 
 
 def averaged_central_value(D, alpha, p, xi=-1):
     """Central value at p averaged over the genus family of the coherent
     neighbor at the distinguished prime."""
-    fam = _family(D, Fraction(xi))
-    total = sum(central_value(D, L.norm_form(), alpha, p) for L in fam)
-    return total / len(fam)
+    return _family_average(_sw_family(D, Fraction(xi)), D, alpha, p)
 
 
-def _support(D, alpha, extra=()):
-    ps = set(prime_divisors(2 * abs(D)))
-    alpha = Fraction(alpha)
-    ps |= set(prime_divisors(alpha.numerator)) | set(prime_divisors(alpha.denominator))
-    for x in extra:
-        x = Fraction(x)
-        ps |= set(prime_divisors(x.numerator)) | set(prime_divisors(x.denominator))
-    return sorted(ps)
+def _coherent_sides(D, alpha, xi):
+    """The family's unit-weighted representation count at alpha and the
+    product over the support of the averaged local central values."""
+    fam = _sw_family(D, xi)
+    lhs = Fraction(sum(L.rep_number(alpha) for L in fam), weight_denominator(D))
+    prod = Fraction(1)
+    for p in support_primes(2 * D, alpha, xi):
+        prod *= _family_average(fam, D, alpha, p)
+    return lhs, prod
 
 
 def calibration_point(D, xi=-1, calibration_alpha=None):
@@ -81,18 +83,11 @@ def calibration_point(D, xi=-1, calibration_alpha=None):
     """
     xi = Fraction(xi)
     targets = [calibration_alpha] if calibration_alpha is not None else range(1, 200)
-    w = _weight_denominator(D)
     for alpha in targets:
         alpha = Fraction(alpha)
-        lhs = Fraction(sum(L.rep_number(alpha) for L in _family(D, xi)), w)
-        if lhs == 0:
-            continue
-        prod = Fraction(1)
-        for p in _support(D, alpha, extra=(xi,)):
-            prod *= averaged_central_value(D, alpha, p, xi)
-        if prod == 0:
-            continue
-        return alpha, lhs, prod
+        lhs, prod = _coherent_sides(D, alpha, xi)
+        if lhs != 0 and prod != 0:
+            return alpha, lhs, prod
     raise ArithmeticError(f"no calibration target found for D={D}")
 
 
@@ -117,12 +112,8 @@ def siegel_weil_check(D, alpha, xi=-1, calibration_alpha=None):
     xi = Fraction(xi)
     alpha = Fraction(alpha)
     assert alpha > 0
-    w = _weight_denominator(D)
-    lhs = Fraction(sum(L.rep_number(alpha) for L in _family(D, xi)), w)
-    rhs = Fraction(1, 2) * kappa_sw(D, xi, calibration_alpha)
-    for p in _support(D, alpha, extra=(xi,)):
-        rhs *= averaged_central_value(D, alpha, p, xi)
-    return lhs, rhs
+    lhs, prod = _coherent_sides(D, alpha, xi)
+    return lhs, Fraction(1, 2) * kappa_sw(D, xi, calibration_alpha) * prod
 
 
 def kappa_derivative(D, xi=-1, calibration_alpha=None):
@@ -141,7 +132,7 @@ def central_value_coefficient(D, xi, alpha, calibration_alpha=None):
     assert alpha != 0
     base_form = Lattice.standard(D, xi).norm_form()
     prod = Fraction(kappa_derivative(D, xi, calibration_alpha)) * arch_central_value(alpha)
-    for p in _support(D, alpha, extra=(xi,)):
+    for p in support_primes(2 * D, alpha, xi):
         if prod == 0:
             break
         prod *= central_value(D, base_form, alpha, p)
@@ -171,12 +162,12 @@ def derivative_coefficient(D, xi, alpha, y=1, calibration_alpha=None):
     place = diff[0]
     if place == INF:
         value = float(kappa) * arch_central_derivative(alpha, y)
-        for p in _support(D, alpha, extra=(xi,)):
+        for p in support_primes(2 * D, alpha, xi):
             value *= float(central_value(D, base_form, alpha, p))
         return LogLinear(0, {}, value)
     neighbor = coherent_neighbor(D, xi, place)
     scale = Fraction(kappa)
-    for p in _support(D, alpha, extra=(xi,)):
+    for p in support_primes(2 * D, alpha, xi):
         if p == place:
             continue
         scale *= central_value(D, base_form, alpha, p)

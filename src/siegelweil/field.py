@@ -1,10 +1,9 @@
 """Exact arithmetic for imaginary quadratic fields.
 
 Everything here is plain rational arithmetic: Kronecker/Legendre symbols,
-Hilbert symbols, quadratic congruence counts, additive character phases,
-binary quadratic form composition (class groups), fractional ideals in
-Hermite normal form, and a small exact number type for quantities of the
-shape  q0 + sum_p c_p * log p.
+Hilbert symbols, quadratic congruence counts, binary quadratic form
+composition (class groups), fractional ideals in Hermite normal form, and a
+small exact number type for quantities of the shape  q0 + sum_p c_p * log p.
 
 Discriminants are always fundamental and negative; elements of E = Q(sqrt(D))
 are stored as coordinate pairs (x, y) of Fractions meaning x + y*sqrt(D).
@@ -14,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 # The archimedean place.  Finite places are plain ints (rational primes).
 INF = "inf"
@@ -73,6 +73,16 @@ def prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def support_primes(*rationals):
+    """Sorted primes dividing the numerator or denominator of any argument."""
+    out = set()
+    for x in rationals:
+        x = Fraction(x)
+        out.update(prime_divisors(x.numerator))
+        out.update(prime_divisors(x.denominator))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -332,35 +342,6 @@ def hilbert_symbol(a, b, v):
 
 
 # ---------------------------------------------------------------------------
-# additive characters
-#
-# Convention: psi_p(x) = exp(2*pi*i*{-x}_p) with {y}_p the p-power fractional
-# part of y, and psi_inf(x) = exp(2*pi*i*x); then prod_v psi_v(x) = 1 for
-# rational x.  Exact work happens on phase fractions.
-
-
-def psi_phase(x, v):
-    """Phase in [0, 1) (a Fraction) with psi_v(x) = exp(2*pi*i*phase)."""
-    x = Fraction(x)
-    if v == INF:
-        return x - math.floor(x)
-    p = v
-    if x == 0:
-        return Fraction(0)
-    m = -val(x, p)
-    if m <= 0:
-        return Fraction(0)
-    pk = p**m
-    t = unit_mod(-x * pk, p, m)
-    return Fraction(t, pk)
-
-
-def psi_eval(x, v):
-    ph = psi_phase(x, v)
-    return complex(math.cos(2 * math.pi * ph), math.sin(2 * math.pi * ph))
-
-
-# ---------------------------------------------------------------------------
 # LogLinear: exact numbers  q0 + sum_p c_p log(p)
 #
 # The finite-place comparisons live here.  Equality is decided exactly (the
@@ -574,6 +555,7 @@ class ClassGroup:
         return self.h
 
 
+@lru_cache(maxsize=None)
 def class_group(D):
     return ClassGroup(D)
 
@@ -581,6 +563,12 @@ def class_group(D):
 def unit_count(D):
     """#O_E^x: 6 for D = -3, 4 for D = -4, 2 otherwise."""
     return {-3: 6, -4: 4}.get(D, 2)
+
+
+def weight_denominator(D):
+    """#O_E^x / 2, the order of the units modulo +-1: each point of the
+    moduli stack is counted with weight one over it."""
+    return unit_count(D) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +588,6 @@ def elt(x, y=0):
 def elt_mul(u, v, D):
     (x1, y1), (x2, y2) = u, v
     return (x1 * x2 + D * y1 * y2, x1 * y2 + x2 * y1)
-
-
-def elt_norm(u, D):
-    x, y = u
-    return x * x - D * y * y
 
 
 class Ideal:
@@ -726,10 +709,6 @@ class Ideal:
         h1, h2 = other.gens()
         prods = [elt_mul(x, y, self.D) for x in (g1, g2) for y in (h1, h2)]
         return Ideal.from_generators(self.D, prods)
-
-    def mul_elt(self, u):
-        g1, g2 = self.gens()
-        return Ideal.from_generators(self.D, [elt_mul(g1, u, self.D), elt_mul(g2, u, self.D)])
 
     def conj(self):
         return Ideal(self.D, self.q, self.a, (-self.b) % (2 * self.a))

@@ -10,7 +10,11 @@ geometric side.
 
 Lattices are pairs (fractional ideal, rational scale) with the quadratic form
 Q(x) = scale * N(x) / N(ideal); their norm forms are classical binary
-quadratic forms, so representation numbers are exact small searches.
+quadratic forms, so representation numbers are exact small searches.  The
+coherent neighbor's lattice is constructed from genus theory: its scale is
+fixed by the flip place and its ideal class by genus characters.  The local
+classification (local_class_key) certifies that construction in the tests;
+no production path calls it.
 """
 
 from __future__ import annotations
@@ -23,25 +27,18 @@ from .field import (
     INF,
     Ideal,
     binary_form_count_fast,
+    class_group,
     form_to_ideal,
     hilbert_symbol,
     is_fundamental_discriminant,
     legendre,
-    prime_divisors,
+    ramified_primes,
     splitting_type,
+    support_primes,
     unit_mod,
     unit_part,
     val,
 )
-
-
-def _support_primes(*rationals):
-    out = set()
-    for x in rationals:
-        x = Fraction(x)
-        out.update(prime_divisors(x.numerator))
-        out.update(prime_divisors(x.denominator))
-    return out
 
 
 def nonnorm_rep(D, p):
@@ -131,8 +128,7 @@ class Collection:
 
     def support(self):
         """Places where the local invariant can differ from +1."""
-        ps = _support_primes(2 * self.D, self.xi) | set(self.flips)
-        return sorted(ps) + [INF]
+        return sorted({*support_primes(2 * self.D, self.xi), *self.flips}) + [INF]
 
     def invariant_product(self):
         prod = 1
@@ -153,8 +149,8 @@ class Collection:
         always has odd size."""
         alpha = Fraction(alpha)
         assert alpha != 0
-        cand = _support_primes(2 * self.D, self.xi, alpha) | set(self.flips)
-        out = [p for p in sorted(cand) if not self.represents_at(p, alpha)]
+        cand = sorted({*support_primes(2 * self.D, self.xi, alpha), *self.flips})
+        out = [p for p in cand if not self.represents_at(p, alpha)]
         if not self.represents_at(INF, alpha):
             out.append(INF)
         return out
@@ -272,12 +268,13 @@ class Lattice:
 # ---------------------------------------------------------------------------
 # local lattice classification
 #
-# Needed to certify coherent-neighbor presentations: a candidate global
-# lattice must be everywhere locally isometric to the prescribed data.  For
-# odd p a binary form over Z_p diagonalises and the Jordan data is a complete
-# invariant; at p = 2 we fingerprint by congruence solution counts of a probe
-# set of targets 2^v * u at levels deep enough to be stable, which separates
-# the binary 2-adic classes that occur here (isometric lattices must agree on
+# A test-only certificate of the coherent-neighbor construction: the built
+# global lattice must be everywhere locally isometric to the prescribed
+# data, and the tests compare keys place by place.  For odd p a binary form
+# over Z_p diagonalises and the Jordan data is a complete invariant; at
+# p = 2 we fingerprint by congruence solution counts of a probe set of
+# targets 2^v * u at levels deep enough to be stable, which separates the
+# binary 2-adic classes that occur here (isometric lattices must agree on
 # every such count).
 
 
@@ -326,17 +323,23 @@ def local_class_key(form, p):
 # coherent neighbors
 
 
+class InternalError(Exception):
+    """A construction that the theory guarantees came out empty: a defect of
+    the program, not of its input.  The command line exits with code 3."""
+
+
 class CoherentNeighbor:
     """The coherent collection obtained from an incoherent one by flipping a
     single place v, realized by an actual global lattice presentation.
 
     base_lattice is a positive-definite (ideal, scale) pair whose local data
-    agrees with the incoherent collection at every finite place except v; its
-    class-group twists enumerate the isometry classes of the family whose
-    weighted representation numbers form the geometric side.  At a finite
-    flip place the member lattices all contain their dual with the same
-    elementary divisor, and flip_local_model carries an integral model of the
-    flipped local lattice used for the local derivative there.
+    agrees with the incoherent collection at every finite place except v;
+    family holds its twists by the reduced forms of the class group, one
+    lattice per ideal class, whose weighted representation numbers form the
+    geometric side.  At a finite flip place the member lattices all contain
+    their dual with the same elementary divisor, and flip_local_model
+    carries an integral model of the flipped local lattice used for the
+    local derivative there.
 
     For the archimedean flip the global space is negative definite and no
     point counting happens; base_lattice is the (negative) reference scale.
@@ -347,6 +350,7 @@ class CoherentNeighbor:
         "xi",
         "flip_place",
         "base_lattice",
+        "family",
         "prime",
         "f",
         "norm_unif",
@@ -358,14 +362,11 @@ class CoherentNeighbor:
         self.xi = Fraction(xi)
         self.flip_place = flip_place
         self.base_lattice = base_lattice
+        self.family = tuple(base_lattice.twist(form) for form in class_group(D).forms)
         self.prime = prime
         self.f = f
         self.norm_unif = norm_unif
         self.flip_local_model = flip_local_model
-
-    def family(self, cg):
-        """Representative lattices of the genus family, one per ideal class."""
-        return [self.base_lattice.twist(form) for form in cg.forms]
 
     def __repr__(self):
         return (
@@ -391,72 +392,47 @@ def _norm_uniformizer(D, p):
 
 
 @lru_cache(maxsize=None)
-def coherent_neighbor(D, xi, flip_place, max_scale=128, max_ideal_norm=64):
-    """Find a global presentation of the coherent collection next to the
-    incoherent Collection(D, xi) across the place flip_place.
+def coherent_neighbor(D, xi, flip_place):
+    """The coherent collection next to the incoherent Collection(D, xi)
+    across the place flip_place, as a global lattice with its family.
 
-    The returned base lattice is certified by local isometry at every place:
-    exact Jordan/count fingerprints against the unflipped (O, xi) data away
-    from the flip, and against the once-scaled model at the flip itself.
+    At a finite flip p the base lattice is (I, s) with s = |xi| p when p is
+    inert and s = |xi| when p is ramified, and I = form_to_ideal(D, f) for
+    the first reduced form f whose leading coefficient a = N(I) satisfies
+    (s a xi, D)_q = -1 at q = p and +1 at every other prime q | D.  Locally
+    (I, s) is (O_q, s N(g) / a) for a local generator g of I, so it matches
+    (O, xi) at q != p and the flipped model at p exactly when s N(g) / (a xi)
+    (times the non-norm at a ramified p) is a unit norm; away from D and p
+    that holds for every class, and at q | D it is the symbol condition.
+    Genus theory (Gauss; Cox, "Primes of the form x^2 + ny^2", section 3)
+    says every choice of genus characters with the right product is taken
+    by some class, so a matching form always exists.
     """
     base = Collection(D, xi)
     assert not base.is_coherent(), "base collection must be incoherent"
-    flipped = base.flipped(flip_place)
-    assert flipped.is_coherent()
+    assert base.flipped(flip_place).is_coherent()
+    xi = Fraction(xi)
 
     if flip_place == INF:
         assert xi < 0, "archimedean flip needs a negative scale"
-        lat = Lattice.standard(D, xi)
-        return CoherentNeighbor(D, xi, INF, lat, None, None, None, None)
+        return CoherentNeighbor(D, xi, INF, Lattice.standard(D, xi), None, None, None, None)
 
     p = flip_place
     st = splitting_type(D, p)
     assert st in ("inert", "ramified")
-    f = 2 if st == "inert" else 1
-    prime = Ideal.prime_above(D, p)
     if st == "inert":
-        flip_model = Lattice.standard(D, Fraction(xi) * p)
+        f, scale, flip_model = 2, abs(xi) * p, Lattice.standard(D, xi * p)
     else:
-        flip_model = Lattice.standard(D, Fraction(xi) * nonnorm_rep(D, p))
-
-    base_form = Lattice.standard(D, xi).norm_form()
-    flip_form = flip_model.norm_form()
-    key_cache = {}
-
-    def target_key(q):
-        if q not in key_cache:
-            model = flip_form if q == p else base_form
-            key_cache[q] = local_class_key(model, q)
-        return key_cache[q]
-
-    xi = Fraction(xi)
-    scales = []
-    for mm in range(1, max_scale + 1):
-        for s in (mm * abs(xi), Fraction(mm)):
-            if s not in scales:
-                scales.append(s)
-    scales.sort()
-
-    ideals = [Ideal.maximal_order(D)]
-    for a in range(1, max_ideal_norm + 1):
-        for b in range(2 * a):
-            if (b * b - D) % (4 * a) == 0 and (a, b) != (1, D % 2):
-                ideals.append(Ideal(D, 1, a, b))
-
-    for s in scales:
-        for ideal in ideals:
-            cand = Lattice(D, ideal, s)
-            if not cand.is_positive_definite():
-                continue
-            ratio = s * ideal.norm * xi
-            checks = _support_primes(2 * D, xi, s, ideal.norm) | {p}
-            if any(hilbert_symbol(ratio, D, q) != (-1 if q == p else 1) for q in sorted(checks)):
-                continue
-            cf = cand.norm_form()
-            if all(local_class_key(cf, q) == target_key(q) for q in sorted(checks)):
-                return CoherentNeighbor(
-                    D, xi, p, cand, prime, f, _norm_uniformizer(D, p), flip_model
-                )
-    raise ValueError(
-        f"no coherent neighbor presentation found for D={D}, xi={xi}, flip={flip_place}"
+        f, scale, flip_model = 1, abs(xi), Lattice.standard(D, xi * nonnorm_rep(D, p))
+    places = sorted({p, *ramified_primes(D)})
+    for form in class_group(D).forms:
+        t = scale * form[0] * xi
+        if all(hilbert_symbol(t, D, q) == (-1 if q == p else 1) for q in places):
+            lattice = Lattice(D, form_to_ideal(D, form), scale)
+            return CoherentNeighbor(
+                D, xi, p, lattice, Ideal.prime_above(D, p), f, _norm_uniformizer(D, p), flip_model
+            )
+    raise InternalError(
+        f"no ideal class has the genus characters of the coherent neighbor "
+        f"for D={D}, xi={xi}, flip={flip_place}"
     )

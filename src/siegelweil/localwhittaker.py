@@ -28,7 +28,6 @@ from .field import (
     LogLinear,
     binary_form_count_bruteforce,
     binary_form_count_fast,
-    hilbert_symbol,
     kronecker,
     legendre,
     val,
@@ -139,12 +138,6 @@ def central_derivative(neighbor, alpha):
         a /= r
     coeff = -Fraction(neighbor.f, 2) * total
     return LogLinear(0, {p: coeff})
-
-
-def eta(D, p, x):
-    """The local quadratic character attached to E/Q at p, evaluated on a
-    rational: +1 on local norms, -1 otherwise."""
-    return hilbert_symbol(x, D, p)
 
 
 # ---------------------------------------------------------------------------

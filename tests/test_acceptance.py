@@ -19,7 +19,7 @@ from siegelweil import (
     stack_mass,
 )
 from siegelweil.cycles import assemble_finite_degree, divisibility_depth
-from siegelweil.eisenstein import _family
+from siegelweil.eisenstein import distinguished_flip_prime
 from siegelweil.field import Ideal, ideal_val, unit_count, val
 from siegelweil.hermitian import Collection
 from siegelweil.localwhittaker import (
@@ -208,7 +208,7 @@ def test_density_shell_concordance():
     failures = []
     triples = []
     for D in (-4, -3, -23, -20):
-        for lattice in _family(D, XI):
+        for lattice in coherent_neighbor(D, XI, distinguished_flip_prime(D)).family:
             for p, alpha in [(2, Fraction(4)), (3, Fraction(9)), (5, Fraction(5))]:
                 triples.append((p, alpha, lattice))
     triples = triples[:21]

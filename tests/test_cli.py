@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelweil import cli, eisenstein
+from siegelweil import cli, eisenstein, hermitian
 from siegelweil.cli import (
     ConfigError,
     Report,
@@ -156,6 +156,29 @@ def test_main_verify_with_a_denominator_in_xi(capsys):
     assert code == 0
 
 
+def test_main_inert_primes_above_128(capsys):
+    """Inert flips at 127, 131, 137 and 139, whose neighbor lattices have
+    scales above 128, pass like any other."""
+    code = main(["verify", "--disc", "-4", "--alpha", "125..140", "--format", "csv"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 16
+    assert [r for r in rows if not r.endswith("true")] == []
+    assert code == 0
+
+
+def test_main_neighbor_construction_failure_exits_3(capsys, monkeypatch):
+    class NoForms:
+        forms = ()
+
+    monkeypatch.setattr(hermitian, "class_group", lambda D: NoForms())
+    hermitian.coherent_neighbor.cache_clear()
+    try:
+        assert main(["verify", "--disc", "-7", "--alpha", "7"]) == 3
+    finally:
+        hermitian.coherent_neighbor.cache_clear()
+    assert "InternalError" in capsys.readouterr().err
+
+
 def test_main_config_error(capsys):
     assert main(["verify", "--disc", "-9"]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -179,7 +202,7 @@ def test_main_negative_control_wrong_weight(capsys, monkeypatch):
     """With the constant calibrated against the true weights, a wrong stacky
     weight shows up as row failures and exit code 1."""
     eisenstein.kappa_sw(-4, Fraction(-1))  # pin the honest constant first
-    monkeypatch.setattr(eisenstein, "_weight_denominator", lambda D: 5)
+    monkeypatch.setattr(eisenstein, "weight_denominator", lambda D: 5)
     code = main(["siegel-weil", "--disc", "-4", "--alpha", "1..6", "--format", "csv"])
     out = capsys.readouterr().out
     assert code == 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelweil.field import INF, Ideal, LogLinear, class_group, ideal_val
+from siegelweil.field import INF, Ideal, LogLinear, ideal_val
 from siegelweil.hermitian import Collection, coherent_neighbor
 from siegelweil.archwhittaker import arch_green_factor
 from siegelweil.cycles import (
@@ -33,7 +33,7 @@ def test_divisibility_depth_against_ideal_valuations():
     for D, place in [(-4, 3), (-4, 2), (-23, 23), (-20, 2), (-7, 7)]:
         nb = coherent_neighbor(D, Fraction(-1), place)
         P = nb.prime
-        for lattice in nb.family(class_group(D)):
+        for lattice in nb.family:
             base = ideal_val(lattice.ideal, P)
             for alpha in range(1, 15):
                 vecs = lattice.vectors(Fraction(alpha))
@@ -100,7 +100,7 @@ def test_archimedean_degree_formula():
     D, alpha = -4, Fraction(-5)
     assert Collection(D, -1).diff_set(alpha) == [INF]
     nb = coherent_neighbor(D, Fraction(-1), INF)
-    reps = sum(L.rep_number(alpha) for L in nb.family(class_group(D)))
+    reps = sum(L.rep_number(alpha) for L in nb.family)
     assert reps > 0
     for y in (Fraction(1, 2), Fraction(2)):
         got = arithmetic_degree(D, -1, alpha, y)

@@ -23,7 +23,6 @@ from siegelweil.field import (
     kronecker,
     legendre,
     prime_divisors,
-    psi_eval,
     reduce_form,
     reduced_forms,
     splitting_type,
@@ -196,14 +195,6 @@ def test_hilbert_symbol_identities():
         for v in sorted(support, key=lambda x: (x == INF, x)):
             prod *= hilbert_symbol(a, b, v)
         assert prod == 1
-
-
-def test_psi_is_a_character():
-    for p in (2, 3, 5):
-        a, b = Fraction(3, p**2), Fraction(1, p)
-        z1, z2, z12 = psi_eval(a, p), psi_eval(b, p), psi_eval(a + b, p)
-        assert abs(z1 * z2 - z12) < 1e-12
-        assert abs(psi_eval(Fraction(7), p) - 1) < 1e-12  # trivial on Z_p
 
 
 # ---------------------------------------------------------------------------

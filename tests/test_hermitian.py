@@ -1,11 +1,21 @@
 """Local Hermitian lines, incoherent collections, lattices and the
-coherent-neighbor search."""
+coherent-neighbor construction."""
 
 from fractions import Fraction
 
 import pytest
 
-from siegelweil.field import INF, Ideal, class_group, hilbert_symbol, kronecker, unit_count
+from siegelweil.field import (
+    INF,
+    Ideal,
+    class_group,
+    hilbert_symbol,
+    is_fundamental_discriminant,
+    kronecker,
+    ramified_primes,
+    support_primes,
+    unit_count,
+)
 from siegelweil.hermitian import (
     Collection,
     Lattice,
@@ -191,11 +201,37 @@ def test_flip_family_is_a_genus_with_classical_theta(D):
     from siegelweil.eisenstein import distinguished_flip_prime
 
     nb = coherent_neighbor(D, Fraction(-1), distinguished_flip_prime(D))
-    fam = nb.family(class_group(D))
+    fam = nb.family
     assert len(fam) == class_group(D).h
     for alpha in range(1, 30):
         total = sum(L.rep_number(Fraction(alpha)) for L in fam)
         assert total == unit_count(D) * _ideal_count(D, alpha), (D, alpha)
+
+
+@pytest.mark.parametrize("xi", [Fraction(-1), Fraction(-2), Fraction(-6, 7)])
+def test_constructed_neighbor_is_certified_by_local_classification(xi):
+    """The genus-theory lattice against the local classification, for every
+    fundamental D in [-300, -3] (three ramified primes included) and flips
+    at every ramified prime and at inert primes on both sides of 128: its
+    scale is |xi| p (inert) or |xi| (ramified), and at every prime of the
+    support it has the local class of the flipped model at the flip and of
+    (O, xi) elsewhere."""
+    discs = [D for D in range(-300, -2) if is_fundamental_discriminant(D)]
+    assert -84 in discs and -120 in discs
+    cases = 0
+    for D in discs:
+        base_form = Lattice.standard(D, xi).norm_form()
+        inert = [p for p in (3, 5, 131, 137) if kronecker(D, p) == -1]
+        for p in ramified_primes(D) + inert:
+            nb = coherent_neighbor(D, xi, p)
+            L = nb.base_lattice
+            assert L.scale == abs(xi) * (p if p in inert else 1), (D, xi, p)
+            form = L.norm_form()
+            for q in support_primes(2 * D, xi, L.scale, L.ideal.norm, p):
+                want = nb.flip_local_model.norm_form() if q == p else base_form
+                assert local_class_key(form, q) == local_class_key(want, q), (D, xi, p, q)
+            cases += 1
+    assert cases > 300
 
 
 def test_neighbor_residue_degrees():

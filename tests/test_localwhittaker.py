@@ -15,7 +15,6 @@ from siegelweil.localwhittaker import (
     central_value,
     density_sequence,
     dirichlet_factor,
-    eta,
     lattice_central_value,
     local_density,
     shell_coefficients,
@@ -213,11 +212,3 @@ def test_derivative_telescoping_step():
             lhs = central_derivative(nb, a) - central_derivative(nb, a / r)
             step = LogLinear(0, {p: -Fraction(f, 2) * central_value(D, form, a, p)})
             assert lhs == step, (D, place, a)
-
-
-def test_eta_is_the_norm_character():
-    from siegelweil.field import hilbert_symbol
-    for D in (-4, -23):
-        for p in (2, 3, 23):
-            for x in (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)):
-                assert eta(D, p, x) == hilbert_symbol(x, D, p)
