@@ -2,13 +2,21 @@
 with extra Hermitian structure.
 
 The cycle attached to a nonzero target is supported where the target is
-missed at exactly one place.  At a finite place the points are the lattice
+missed at exactly one place.  At a finite place p the points are the lattice
 vectors of the coherent neighbor family with the prescribed length; each
 contributes the length of its deformation space, read off from how deep the
-vector sits inside the prime above p (its divisibility order), times
+vector sits inside the prime P above p (its divisibility order), times
 log N(P) = f log p, weighted by one over the unit group order.  At the
 archimedean place no finite points exist and the whole degree is the
 Green-function weight against the negative-definite neighbor's vectors.
+
+The depth needs no ideal arithmetic.  A vector x of the family lattice
+(J, s) with Q(x) = s N(x) / N(J) = alpha has v_P(x) - v_P(J) = v_p(alpha/s)/f,
+since P is the only prime above the non-split p; so every point of every
+family member has the same depth 1 + v_p(alpha/s)/f, and the degree is that
+depth times the family's total representation number.  The membership loop
+of divisibility_depth and the explicit points of cycle_points are test
+oracles for this formula.
 
 The assembly step (multiplicities in, degree out) is split from the point
 enumeration so synthetic instances with planted multiplicities can exercise
@@ -20,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .archwhittaker import arch_green_factor
-from .field import INF, LogLinear, weight_denominator
-from .hermitian import Collection, coherent_neighbor
+from .field import INF, LogLinear, val, weight_denominator
+from .hermitian import Collection, InternalError, coherent_neighbor
 
 _DEPTH_LIMIT = 64
 
@@ -29,7 +37,7 @@ _DEPTH_LIMIT = 64
 def divisibility_depth(vector, lattice, prime):
     """1 + (number of times prime divides the vector inside the lattice):
     the membership loop runs until P^m * (lattice ideal) no longer contains
-    the vector."""
+    the vector.  A test oracle for the depth formula of arithmetic_degree."""
     x, y = vector
     assert x != 0 or y != 0
     depth = 0
@@ -68,7 +76,8 @@ def assemble_arch_degree(rep_count, w, alpha, y):
 def cycle_points(D, xi, alpha):
     """The finite-place cycle as explicit data: (p, f, list of (class index,
     vector, depth)).  Requires the target to be missed exactly at one finite
-    place."""
+    place.  A test oracle: arithmetic_degree counts the same points without
+    listing them."""
     coll = Collection(D, xi)
     diff = coll.diff_set(alpha)
     assert len(diff) == 1 and diff[0] != INF
@@ -95,8 +104,16 @@ def arithmetic_degree(D, xi, alpha, y=1):
     if len(diff) >= 2:
         return LogLinear(0)
     w = weight_denominator(D)
-    if diff == [INF]:
-        reps = sum(L.rep_number(alpha) for L in coherent_neighbor(D, xi, INF).family)
+    place = diff[0]
+    neighbor = coherent_neighbor(D, xi, place)
+    reps = sum(L.rep_number(alpha) for L in neighbor.family)
+    if place == INF:
         return assemble_arch_degree(reps, w, alpha, y)
-    p, f, points = cycle_points(D, xi, alpha)
-    return assemble_finite_degree([d for (_, _, d) in points], f, w, p)
+    f = neighbor.f
+    v = val(alpha / neighbor.base_lattice.scale, place)
+    if reps and v % f:
+        raise InternalError(
+            f"vectors of length {alpha} exist although v_p(alpha/s) = {v} is not "
+            f"a multiple of f = {f} (D={D}, xi={xi}, p={place})"
+        )
+    return assemble_finite_degree([1 + v // f] * reps, f, w, place)

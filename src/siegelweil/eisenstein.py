@@ -91,7 +91,6 @@ def calibration_point(D, xi=-1, calibration_alpha=None):
     raise ArithmeticError(f"no calibration target found for D={D}")
 
 
-@lru_cache(maxsize=None)
 def kappa_sw(D, xi=-1, calibration_alpha=None):
     """The Siegel-Weil proportionality constant, measured on one target.
 
@@ -99,10 +98,19 @@ def kappa_sw(D, xi=-1, calibration_alpha=None):
     side (1/2) kappa prod_p acv_p, the constant is fixed by the smallest
     positive target with nonvanishing sides (or by calibration_alpha).  Its
     measured value is 2^(number of ramified primes); the code keeps the
-    measurement.
+    measurement.  One cache entry per (D, xi, calibration_alpha), whatever
+    the call shape.
     """
+    return _measured_kappa_sw(D, Fraction(xi), calibration_alpha)
+
+
+@lru_cache(maxsize=None)
+def _measured_kappa_sw(D, xi, calibration_alpha):
     _, lhs, prod = calibration_point(D, xi, calibration_alpha)
     return 2 * lhs / prod
+
+
+kappa_sw.cache_clear = _measured_kappa_sw.cache_clear
 
 
 def siegel_weil_check(D, alpha, xi=-1, calibration_alpha=None):

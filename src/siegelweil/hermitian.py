@@ -12,9 +12,12 @@ Lattices are pairs (fractional ideal, rational scale) with the quadratic form
 Q(x) = scale * N(x) / N(ideal); their norm forms are classical binary
 quadratic forms, so representation numbers are exact small searches.  The
 coherent neighbor's lattice is constructed from genus theory: its scale is
-fixed by the flip place and its ideal class by genus characters.  The local
-classification (local_class_key) certifies that construction in the tests;
-no production path calls it.
+fixed by the flip place and its ideal class by genus characters.  Its family
+is one lattice (form_to_ideal(D, g), scale) per reduced form g of the class
+group: twisting the base lattice by every class only permutes the classes,
+so no ideal product is needed.  The local classification (local_class_key)
+and Lattice.twist certify that construction in the tests; no production path
+calls them.
 """
 
 from __future__ import annotations
@@ -202,10 +205,6 @@ class Lattice:
         s = self.scale
         return (s * a, s * b, s * c)
 
-    def disc(self):
-        A, B, C = self.norm_form()
-        return B * B - 4 * A * C  # always scale^2 * D
-
     def is_positive_definite(self):
         return self.scale > 0
 
@@ -254,7 +253,8 @@ class Lattice:
     def twist(self, f_or_ideal):
         """Twist by a class group element (reduced form) or by an ideal:
         multiply the ideal, keep the scale.  Base-point twists permute the
-        isometry classes of the genus family."""
+        isometry classes of the genus family; a test oracle for the family
+        of CoherentNeighbor."""
         if isinstance(f_or_ideal, Ideal):
             b_ideal = f_or_ideal
         else:
@@ -332,17 +332,19 @@ class CoherentNeighbor:
     """The coherent collection obtained from an incoherent one by flipping a
     single place v, realized by an actual global lattice presentation.
 
-    base_lattice is a positive-definite (ideal, scale) pair whose local data
-    agrees with the incoherent collection at every finite place except v;
-    family holds its twists by the reduced forms of the class group, one
-    lattice per ideal class, whose weighted representation numbers form the
-    geometric side.  At a finite flip place the member lattices all contain
-    their dual with the same elementary divisor, and flip_local_model
-    carries an integral model of the flipped local lattice used for the
-    local derivative there.
+    family holds one lattice (form_to_ideal(D, g), scale) per reduced form
+    g of the class group, at the scale fixed by the flip place; their
+    weighted representation numbers form the geometric side.  Twisting any
+    member by every class gives the same classes in another order.
+    base_lattice is the member picked by the genus characters: its local
+    data agrees with the incoherent collection at every finite place except
+    v.  At a finite flip place p every length-alpha vector of every member
+    has depth 1 + v_p(alpha / scale) / f in the prime above p, and
+    flip_local_model carries an integral model of the flipped local lattice
+    used for the local derivative there.
 
-    For the archimedean flip the global space is negative definite and no
-    point counting happens; base_lattice is the (negative) reference scale.
+    For the archimedean flip the global space is negative definite, the
+    scale is xi and base_lattice is the principal member.
     """
 
     __slots__ = (
@@ -357,12 +359,13 @@ class CoherentNeighbor:
         "flip_local_model",
     )
 
-    def __init__(self, D, xi, flip_place, base_lattice, prime, f, norm_unif, flip_local_model):
+    def __init__(self, D, xi, flip_place, family, base_lattice, prime, f, norm_unif,
+                 flip_local_model):
         self.D = D
         self.xi = Fraction(xi)
         self.flip_place = flip_place
+        self.family = family
         self.base_lattice = base_lattice
-        self.family = tuple(base_lattice.twist(form) for form in class_group(D).forms)
         self.prime = prime
         self.f = f
         self.norm_unif = norm_unif
@@ -391,6 +394,12 @@ def _norm_uniformizer(D, p):
                 return Fraction(p * u)
 
 
+def _class_family(D, scale):
+    """One lattice (form_to_ideal(D, g), scale) per reduced form g, in the
+    order of class_group(D).forms (the principal class first)."""
+    return tuple(Lattice(D, form_to_ideal(D, g), scale) for g in class_group(D).forms)
+
+
 @lru_cache(maxsize=None)
 def coherent_neighbor(D, xi, flip_place):
     """The coherent collection next to the incoherent Collection(D, xi)
@@ -406,7 +415,8 @@ def coherent_neighbor(D, xi, flip_place):
     that holds for every class, and at q | D it is the symbol condition.
     Genus theory (Gauss; Cox, "Primes of the form x^2 + ny^2", section 3)
     says every choice of genus characters with the right product is taken
-    by some class, so a matching form always exists.
+    by some class, so a matching form always exists.  The family is the
+    class group at the same scale, and the base lattice is picked from it.
     """
     base = Collection(D, xi)
     assert not base.is_coherent(), "base collection must be incoherent"
@@ -415,7 +425,8 @@ def coherent_neighbor(D, xi, flip_place):
 
     if flip_place == INF:
         assert xi < 0, "archimedean flip needs a negative scale"
-        return CoherentNeighbor(D, xi, INF, Lattice.standard(D, xi), None, None, None, None)
+        family = _class_family(D, xi)
+        return CoherentNeighbor(D, xi, INF, family, family[0], None, None, None, None)
 
     p = flip_place
     st = splitting_type(D, p)
@@ -425,12 +436,13 @@ def coherent_neighbor(D, xi, flip_place):
     else:
         f, scale, flip_model = 1, abs(xi), Lattice.standard(D, xi * nonnorm_rep(D, p))
     places = sorted({p, *ramified_primes(D)})
-    for form in class_group(D).forms:
-        t = scale * form[0] * xi
+    family = _class_family(D, scale)
+    for lattice in family:
+        t = scale * lattice.ideal.norm * xi
         if all(hilbert_symbol(t, D, q) == (-1 if q == p else 1) for q in places):
-            lattice = Lattice(D, form_to_ideal(D, form), scale)
             return CoherentNeighbor(
-                D, xi, p, lattice, Ideal.prime_above(D, p), f, _norm_uniformizer(D, p), flip_model
+                D, xi, p, family, lattice, Ideal.prime_above(D, p), f, _norm_uniformizer(D, p),
+                flip_model,
             )
     raise InternalError(
         f"no ideal class has the genus characters of the coherent neighbor "

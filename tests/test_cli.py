@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelweil import cli, eisenstein, hermitian
+from siegelweil import cli, cycles, eisenstein, hermitian
 from siegelweil.cli import (
     ConfigError,
     Report,
@@ -17,6 +17,7 @@ from siegelweil.cli import (
     parse_report,
     parse_targets,
 )
+from siegelweil.field import Ideal
 
 
 def _args(argv):
@@ -179,6 +180,29 @@ def test_main_neighbor_construction_failure_exits_3(capsys, monkeypatch):
     assert "InternalError" in capsys.readouterr().err
 
 
+def test_main_finite_degrees_need_no_ideal_arithmetic(capsys, monkeypatch, tmp_path):
+    """Depths come from one valuation and the family from the class group:
+    a sweep with fresh neighbors runs with ideal products, ideal membership
+    and the depth loop all disabled."""
+    def forbidden(*args):
+        raise RuntimeError("ideal arithmetic on the production path")
+
+    monkeypatch.setattr(Ideal, "mul", forbidden)
+    monkeypatch.setattr(Ideal, "contains", forbidden)
+    monkeypatch.setattr(cycles, "divisibility_depth", forbidden)
+    cfg = tmp_path / "serial.cfg"
+    cfg.write_text("jobs = 1\n")
+    hermitian.coherent_neighbor.cache_clear()
+    try:
+        code = main(["verify", str(cfg), "--disc", "-23", "--alpha", "1..64", "--format", "csv"])
+    finally:
+        hermitian.coherent_neighbor.cache_clear()
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 64
+    assert [r for r in rows if not r.endswith("true")] == []
+    assert code == 0
+
+
 def test_main_config_error(capsys):
     assert main(["verify", "--disc", "-9"]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -201,6 +225,7 @@ def test_main_calibration_failure_is_instructive(capsys):
 def test_main_negative_control_wrong_weight(capsys, monkeypatch):
     """With the constant calibrated against the true weights, a wrong stacky
     weight shows up as row failures and exit code 1."""
+    eisenstein.kappa_sw.cache_clear()
     eisenstein.kappa_sw(-4, Fraction(-1))  # pin the honest constant first
     monkeypatch.setattr(eisenstein, "weight_denominator", lambda D: 5)
     code = main(["siegel-weil", "--disc", "-4", "--alpha", "1..6", "--format", "csv"])

@@ -6,8 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from siegelweil.field import INF, Ideal, LogLinear, ideal_val
-from siegelweil.hermitian import Collection, coherent_neighbor
+from siegelweil.field import (
+    INF,
+    Ideal,
+    LogLinear,
+    ideal_val,
+    is_fundamental_discriminant,
+    val,
+    weight_denominator,
+)
+from siegelweil.hermitian import Collection, InternalError, coherent_neighbor
+from siegelweil import cycles
 from siegelweil.archwhittaker import arch_green_factor
 from siegelweil.cycles import (
     arithmetic_degree,
@@ -62,6 +71,44 @@ def test_depth_rejects_the_zero_vector():
     nb = coherent_neighbor(-4, Fraction(-1), 2)
     with pytest.raises(AssertionError):
         divisibility_depth((Fraction(0), Fraction(0)), nb.base_lattice, nb.prime)
+
+
+@pytest.mark.parametrize(
+    "xi,amax,min_points", [(Fraction(-1), 20, 6000), (Fraction(-6, 7), 40, 1900)]
+)
+def test_depth_formula_matches_the_membership_loop(xi, amax, min_points):
+    """Every point of every single-finite-place cycle, for every fundamental
+    D in [-300, -3] (three ramified primes included), has the loop depth
+    1 + v_p(alpha/s)/f that arithmetic_degree uses, and the production
+    degree equals the one assembled from the loop depths."""
+    discs = [D for D in range(-300, -2) if is_fundamental_discriminant(D)]
+    assert -84 in discs and -120 in discs
+    points = 0
+    for D in discs:
+        coll = Collection(D, xi)
+        w = weight_denominator(D)
+        for a in range(1, amax + 1):
+            alpha = Fraction(a)
+            diff = coll.diff_set(alpha)
+            if len(diff) != 1 or diff[0] == INF:
+                continue
+            p, f, pts = cycle_points(D, xi, alpha)
+            v = val(alpha / coherent_neighbor(D, xi, p).base_lattice.scale, p)
+            depths = [d for (_, _, d) in pts]
+            if depths:
+                assert v % f == 0 and set(depths) == {1 + v // f}, (D, xi, alpha, depths)
+            want = assemble_finite_degree(depths, f, w, p)
+            assert arithmetic_degree(D, xi, alpha) == want, (D, xi, alpha)
+            points += len(pts)
+    assert points >= min_points
+
+
+def test_depth_formula_refuses_a_valuation_off_the_residue_degree(monkeypatch):
+    """At an inert flip (f = 2) lattice vectors force v_p(alpha/s) even; an
+    odd one is a defect, reported as InternalError rather than a depth."""
+    monkeypatch.setattr(cycles, "val", lambda x, p: 1)
+    with pytest.raises(InternalError, match="not a multiple of f = 2"):
+        arithmetic_degree(-4, -1, Fraction(3))
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,29 @@ def test_constructed_neighbor_is_certified_by_local_classification(xi):
     assert cases > 300
 
 
+@pytest.mark.parametrize("xi", [Fraction(-1), Fraction(-6, 7)])
+def test_neighbor_family_is_the_class_group(xi):
+    """For every fundamental D in [-300, -3] and flips at INF, every ramified
+    prime and the inert 3 and 5: the family holds one lattice per reduced
+    form, in class-group order, at one scale; the base lattice is a member;
+    and the twists of the base lattice by every class hit the same classes."""
+    discs = [D for D in range(-300, -2) if is_fundamental_discriminant(D)]
+    neighbors = 0
+    for D in discs:
+        forms = class_group(D).forms
+        inert = [p for p in (3, 5) if kronecker(D, p) == -1]
+        for v in ramified_primes(D) + inert + [INF]:
+            nb = coherent_neighbor(D, xi, v)
+            fam = nb.family
+            assert [L.ideal.to_form() for L in fam] == forms, (D, xi, v)
+            assert {L.scale for L in fam} == {nb.base_lattice.scale}
+            assert nb.base_lattice in fam
+            twists = sorted(nb.base_lattice.twist(g).ideal.to_form() for g in forms)
+            assert twists == sorted(forms), (D, xi, v)
+            neighbors += 1
+    assert neighbors > 300
+
+
 def test_neighbor_residue_degrees():
     assert coherent_neighbor(-4, Fraction(-1), 3).f == 2    # inert
     assert coherent_neighbor(-4, Fraction(-1), 2).f == 1    # ramified
