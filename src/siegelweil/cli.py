@@ -25,8 +25,8 @@ Reports go to stdout, diagnostics to stderr.  Row work is dispatched to a
 process pool (``jobs`` workers) after the single-threaded calibration phase;
 assembly keeps target order, so identical configurations produce
 byte-identical output.  Exit codes: 0 all rows pass, 1 some row fails,
-2 configuration error, 3 internal (calibration, stabilization or
-neighbor construction) error.
+2 configuration error, 3 internal (calibration, flip prime or neighbor
+construction) error.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .field import (
     support_primes,
     weight_denominator,
 )
-from .hermitian import Collection, Lattice, coherent_neighbor
+from .hermitian import Collection, InternalError, Lattice, coherent_neighbor
 from .localwhittaker import central_derivative, central_value
 
 
@@ -43,7 +43,8 @@ def distinguished_flip_prime(D):
     """The ramified prime at which -1 fails to be a local norm.  Flipping
     the sign incoherence there yields the positive-definite genus family."""
     cand = [p for p in ramified_primes(D) if hilbert_symbol(-1, D, p) == -1]
-    assert len(cand) == 1, f"expected a unique distinguished ramified prime for {D}"
+    if len(cand) != 1:
+        raise InternalError(f"expected a unique distinguished ramified prime for {D}")
     return cand[0]
 
 

@@ -91,11 +91,11 @@ def support_primes(*rationals):
 # sqrt_count is the classical closed form for #{x mod p^k : x^2 == d}; on top
 # of it the counters use 4A*F(x,y) = (2Ax + By)^2 - disc*y^2, which turns the
 # x-count for fixed y into a single square-root count.  Both counters first
-# clear the (p-unit) denominators, so they run on Python ints.
-# binary_form_count_fast is the production engine: local densities need it
-# only at p | 2*disc (at odd unimodular primes they have a closed form), and
-# so do the 2-adic lattice fingerprints.  The O(p^k) binary_form_count and
-# the brute-force enumeration below are test oracles.
+# clear the (p-unit) denominators, so they run on Python ints.  No
+# production path counts: local densities have a closed form at every prime.
+# binary_form_count_fast backs the oracles, localwhittaker.density_sequence
+# and the 2-adic fingerprints of hermitian.local_class_key; the O(p^k)
+# binary_form_count and the brute-force enumeration below check it.
 
 
 def sqrt_count(d, p, k):

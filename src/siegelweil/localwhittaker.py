@@ -1,90 +1,82 @@
 """Local densities, central values, and their derivatives at finite places.
 
 Everything here is exact rational arithmetic.  The density of a binary form
-at a target is the stable value of (solution count mod p^k) / p^k.  At an odd
-prime where the content-stripped form is unimodular it has a closed form
-(Kudla-Rapoport-Yang; T. Yang, J. Number Theory 1998); only at p | 2*disc is
-it counted, by the fast congruence counter scanned until the ratio settles.
-Dividing by the appropriate covolume and Dirichlet factor turns the density
-into the central value of the local Whittaker function, normalized so that
-the unramified self-dual lattice takes value 1 on unit targets.  At the one
-bad place of an incoherent collection the central value vanishes and the
-derivative appears instead; it telescopes into a finite sum of central
-values along divisions by the norm uniformizer, with a log p coefficient
-kept symbolic (LogLinear).
+at a target is the stable value of (solution count mod p^k) / p^k.  Every
+lattice norm form is locally a unit times the norm form of the maximal order
+of E_p, and there the density has a closed form at every prime, 2 and the
+ramified primes included (Kudla-Rapoport-Yang; T. Yang, J. Number Theory
+1998); nothing is counted on the way to a density.  Dividing by the
+appropriate covolume and Dirichlet factor turns the density into the central
+value of the local Whittaker function, normalized so that the unramified
+self-dual lattice takes value 1 on unit targets.  At the one bad place of an
+incoherent collection the central value vanishes and the derivative appears
+instead; it telescopes into a finite sum of central values along divisions
+by the norm uniformizer, with a log p coefficient kept symbolic (LogLinear).
 
 The shell-sum oracle at the bottom recomputes the same quantities from the
-defining oscillatory sums by raw enumeration.  It and density_sequence exist
-so the closed form and the counting engine can be cross-checked, not for
-speed.
+defining oscillatory sums by raw enumeration.  It and density_sequence, which
+runs the fast congruence counter level by level, exist so the closed form
+can be cross-checked, not for speed.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .field import (
     LogLinear,
+    _strip,
     binary_form_count_bruteforce,
     binary_form_count_fast,
+    hilbert_symbol,
     kronecker,
     legendre,
     val,
 )
 
-_MAX_STABILIZATION_SCAN = 10
-
-
-def _content(form, p):
-    """min p-valuation of the values of the form (= min over A, C, A+B+C)."""
-    vals = [val(x, p) for x in (form[0], form[2], form[0] + form[1] + form[2]) if x != 0]
-    assert vals, "degenerate form"
-    return min(vals)
-
-
-@lru_cache(maxsize=None)
-def _density_stable(form, alpha, p):
-    # form is content-free at p here and alpha is a p-unit times p^v, v >= 0
-    v = val(alpha, p)
-    k0 = v + (6 if p == 2 else 3)
-    seq = {}
-
-    def den(k):
-        if k not in seq:
-            seq[k] = Fraction(binary_form_count_fast(form, alpha, p, k), p**k)
-        return seq[k]
-
-    for k in range(k0, k0 + _MAX_STABILIZATION_SCAN):
-        if den(k) == den(k + 1) == den(k + 2):
-            return den(k)
-    raise ArithmeticError(
-        f"density of {form} at {alpha} over Q_{p} did not stabilize "
-        f"by level {k0 + _MAX_STABILIZATION_SCAN + 2}"
-    )
-
 
 def local_density(form, alpha, p):
-    """Stable solution density of form == alpha over Z_p (alpha != 0).
+    """Stable solution density of form == alpha over Z_p, in closed form.
 
-    After stripping the form's p-content, an odd p with the stripped
-    discriminant a p-unit has the closed form (1 - chi/p) * sum_{j<=v} chi^j,
-    chi = (disc/p) and v = val_p of the stripped target; only p | 2*disc
-    runs the counter."""
+    Stripped of its p-content p^m, a lattice norm form is a unit u times the
+    norm form N of the maximal order of E_p = Q_p(sqrt(disc))
+    (Kudla-Rapoport-Yang; T. Yang, J. Number Theory 1998).  With
+    v = val_p(alpha) - m the density is p^m (1 - chi/p) * sum_{j<=v} chi^j
+    when disc is a p-unit, chi = (disc/p) (at p = 2, +1 iff disc = 1 mod 8);
+    when E_p is ramified it is 2 p^m if alpha/(p^m u) is a norm and 0 if
+    not, at every v >= 0, since N maps the units onto an index-2 subgroup of
+    Z_p^x.  A non-maximal order, a degenerate form and alpha = 0 raise
+    ValueError."""
     alpha = Fraction(alpha)
-    assert alpha != 0
-    form = tuple(Fraction(x) for x in form)
-    m = _content(form, p)
-    v = val(alpha, p) - m
+    if alpha == 0:
+        raise ValueError("local density at the target 0")
+    # scaling form and target by their common denominator n = p^k * (unit)
+    # scales the density by p^k, and leaves ints
+    fracs = [Fraction(x) for x in form] + [alpha]
+    n = math.lcm(*(x.denominator for x in fracs))
+    A, B, C, t = (x.numerator * (n // x.denominator) for x in fracs)
+    disc = B * B - 4 * A * C
+    if disc == 0:
+        raise ValueError("degenerate form")
+    # p-content p^m: the least valuation among the values A, C and A+B+C,
+    # attained at u * p^m
+    m, u = min(_strip(x, p) for x in (A, C, A + B + C) if x)
+    e, r = _strip(disc, p)
+    e -= 2 * m
+    maximal = e == 1 if p != 2 else e == 3 or (e == 2 and r % 4 == 3)
+    if e and not maximal:
+        raise ValueError(f"{form} is not a norm form of a maximal order at {p}")
+    v = _strip(t, p)[0] - m
     if v < 0:
         return Fraction(0)
-    scale = Fraction(p) ** m
-    A, B, C = (x / scale for x in form)
-    disc = B * B - 4 * A * C
-    if p != 2 and val(disc, p) == 0:
-        chi = legendre(disc, p)
-        return scale * (1 - Fraction(chi, p)) * sum(chi**j for j in range(v + 1))
-    return scale * _density_stable((A, B, C), alpha / scale, p)
+    shift = m - _strip(n, p)[0]
+    if e == 0:
+        chi = legendre(r, p) if p != 2 else (1 if r % 8 == 1 else -1)
+        num, shift = (p - chi) * (v + 1 if chi == 1 else 1 - v % 2), shift - 1
+    else:
+        num = 2 if hilbert_symbol(t * u * p**m, disc, p) == 1 else 0
+    return Fraction(num * p**shift) if shift >= 0 else Fraction(num, p**-shift)
 
 
 def density_sequence(form, alpha, p, kmax):

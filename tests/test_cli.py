@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelweil import cli, cycles, eisenstein, hermitian
+from siegelweil import cli, cycles, eisenstein, field, hermitian, localwhittaker
 from siegelweil.cli import (
     ConfigError,
     Report,
@@ -201,6 +201,56 @@ def test_main_finite_degrees_need_no_ideal_arithmetic(capsys, monkeypatch, tmp_p
     assert len(rows) == 64
     assert [r for r in rows if not r.endswith("true")] == []
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["siegel-weil", "--disc", "-24", "--alpha", "1..200"],
+    ["verify", "--disc", "-23", "--alpha", "1..64"],
+    ["siegel-weil", "--disc", "-239", "--alpha", "57121,13651919"],  # 239^2, 239^3
+])
+def test_main_densities_need_no_congruence_counting(capsys, monkeypatch, tmp_path, argv):
+    """Every density on a sweep has a closed form, at p | 2D too: with the
+    congruence counter disabled and every cache cold, the rows still pass."""
+    def forbidden(*args):
+        raise RuntimeError("congruence counting on the production path")
+
+    for module in (field, hermitian, localwhittaker):
+        monkeypatch.setattr(module, "binary_form_count_fast", forbidden)
+    cfg = tmp_path / "serial.cfg"
+    cfg.write_text("jobs = 1\n")
+    eisenstein.kappa_sw.cache_clear()
+    hermitian.coherent_neighbor.cache_clear()
+    try:
+        code = main([argv[0], str(cfg), *argv[1:], "--format", "csv"])
+    finally:
+        eisenstein.kappa_sw.cache_clear()
+        hermitian.coherent_neighbor.cache_clear()
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(cli.parse_targets(argv[-1]))
+    assert [r for r in rows if not r.endswith("true")] == []
+    assert code == 0
+
+
+def test_main_refuses_several_flip_primes_under_optimisation():
+    """For D = -84 the symbol (-1, D)_p is -1 at 2, 3 and 7; the refusal is
+    an explicit InternalError (exit 3), so `python -O` keeps it instead of
+    reporting rows built on the first candidate."""
+    import os
+    import subprocess
+    import sys
+
+    import siegelweil
+
+    src = os.path.dirname(os.path.dirname(siegelweil.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "siegelweil.cli", "siegel-weil", "--disc", "-84",
+         "--alpha", "1..10"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert "InternalError" in run.stderr
 
 
 def test_main_config_error(capsys):

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from siegelweil.field import LogLinear, is_fundamental_discriminant, kronecker, reduced_forms, val
+from siegelweil.field import (
+    LogLinear,
+    is_fundamental_discriminant,
+    kronecker,
+    prime_divisors,
+    reduced_forms,
+    val,
+)
 from siegelweil.hermitian import Collection, LocalSpace, coherent_neighbor
 from siegelweil.localwhittaker import (
     central_derivative,
@@ -87,15 +94,17 @@ def test_density_sequence_stabilizes_to_the_density():
 
 
 def test_closed_form_matches_the_counted_density():
-    """At odd p prime to D the density of s*f (f reduced, s any scale) has a
-    closed form; it must equal p^m times the stabilised count of the
-    content-stripped form, m = val_p(s), and stay an exact rational."""
+    """At every p the density of s*f (f reduced, s any scale) has a closed
+    form, at the primes dividing 2D included; it must equal p^m times the
+    stabilised count of the content-stripped form, m = val_p(s), and stay an
+    exact rational."""
     rng = random.Random(29)
     discs = [D for D in range(-300, -2) if is_fundamental_discriminant(D)]
-    for _ in range(150):
+    for _ in range(300):
         D = rng.choice(discs)
         f = rng.choice(reduced_forms(D))
-        p = rng.choice([q for q in (3, 5, 7, 11, 13) if D % q])
+        p = rng.choice([q for q in (3, 5, 7, 11, 13) if D % q]
+                       + [q for q in prime_divisors(2 * D) if q <= 31])
         units = [u for u in range(1, 30) if u % p]
         m, v = rng.randint(-2, 2), rng.randint(0, 4)
         pm = Fraction(p) ** m
@@ -103,15 +112,31 @@ def test_closed_form_matches_the_counted_density():
         u = Fraction(rng.choice([1, -1]) * rng.choice(units), rng.choice(units))
         alpha = pm * p**v * u
         den = local_density(tuple(s * x for x in f), alpha, p)
-        seq = density_sequence(tuple(s / pm * x for x in f), alpha / pm, p, v + 3)
+        seq = density_sequence(tuple(s / pm * x for x in f), alpha / pm, p,
+                               v + (6 if p == 2 else 3))
         assert seq[-1] == seq[-2] == seq[-3], (f, s, alpha, p)
         assert type(den) is Fraction and den == pm * seq[-1], (f, s, alpha, p)
 
 
 @pytest.mark.parametrize("form,alpha,p", [
+    ((1, 0, 4), 1, 2),  # disc -16: index 2 in Z_2[i]
+    ((1, 0, 3), 1, 2),  # disc -12: index 2 in the ring of Q_2(sqrt(-3))
+    ((1, 0, 9), 1, 3),  # disc -36: index 3 in Z_3[i]
+    ((1, 0, 1), 0, 2),  # zero target
+    ((0, 0, 0), 1, 2),  # zero form
+    ((1, 2, 1), 1, 3),  # (x + y)^2
+])
+def test_local_density_refuses_what_has_no_closed_form(form, alpha, p):
+    """Non-maximal orders, a zero target and degenerate forms are refused
+    with an explicit error, which `python -O` keeps."""
+    with pytest.raises(ValueError):
+        local_density(form, alpha, p)
+
+
+@pytest.mark.parametrize("form,alpha,p", [
     ((Fraction(1, 5), 0, Fraction(1, 5)), Fraction(2, 5), 5),  # closed form, split p
     ((Fraction(1, 9), 0, Fraction(1, 9)), Fraction(2, 9), 3),  # closed form, inert p
-    ((Fraction(1, 2), 0, Fraction(1, 2)), Fraction(5, 2), 2),  # counted at 2
+    ((Fraction(1, 2), 0, Fraction(1, 2)), Fraction(5, 2), 2),  # closed form at 2
     ((Fraction(1, 23), Fraction(1, 23), Fraction(6, 23)), Fraction(2, 23), 23),  # p | D
 ])
 def test_density_of_a_form_with_p_in_its_denominators(form, alpha, p):
