@@ -17,9 +17,10 @@ first seven also have command-line flags (``--calibration-alpha`` for
 ``lattice_scale`` and ``lattice_ideal`` are configuration-file keys only.
 Target lists are written either as an inclusive integer range ``a..b`` (zero
 is dropped) or as a comma list of nonzero rationals.  ``lattice_scale`` /
-``lattice_ideal`` (``principal`` or ``prime:p``) choose the lattice inspected
-by ``densities``; the sweeps always use the canonical family, where the
-choice averages out.
+``lattice_ideal`` (``principal`` or ``prime:p``, where p must be a prime)
+choose the lattice inspected by ``densities``: the principal form or the
+norm form of the prime above p, at the given scale; the sweeps always use
+the canonical family, where the choice averages out.
 
 Reports go to stdout, diagnostics to stderr.  Row work is dispatched to a
 process pool (``jobs`` workers) after the single-threaded calibration phase;
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 from . import eisenstein
 from .archwhittaker import arch_central_value
-from .field import INF, Ideal, is_fundamental_discriminant, splitting_type, support_primes, val
+from .field import INF, is_fundamental_discriminant, prime_form, splitting_type, support_primes, val
 from .hermitian import Collection, InternalError, Lattice, coherent_neighbor
 from .localwhittaker import _form_slack, central_value, shell_coefficients
 from .cycles import arithmetic_degree
@@ -226,8 +227,14 @@ def build_config(args):
         raise ConfigError("the lattice scale must be nonzero")
 
     ideal_choice = str(pick("lattice_ideal", "principal"))
-    if ideal_choice != "principal" and not re.fullmatch(r"prime:\d+", ideal_choice):
-        raise ConfigError(f"bad lattice ideal {ideal_choice!r} (use 'principal' or 'prime:p')")
+    if ideal_choice != "principal":
+        m = re.fullmatch(r"prime:(\d+)", ideal_choice)
+        if not m:
+            raise ConfigError(f"bad lattice ideal {ideal_choice!r} (use 'principal' or 'prime:p')")
+        try:
+            prime_form(disc, int(m.group(1)))
+        except ValueError as e:
+            raise ConfigError(f"bad lattice ideal {ideal_choice!r}: {e}") from None
 
     return RunConfig(
         verb=args.verb, disc=disc, xi=xi, alphas=alphas, tau=tau, fmt=fmt,
@@ -244,13 +251,14 @@ def _place_str(v):
 
 
 def _loglinear_row(alpha, diff, lhs, rhs, ok):
+    lhs_cells, rhs_cells = lhs.to_json(), rhs.to_json()
     return {
         "alpha": str(alpha),
         "diff": [_place_str(v) for v in diff],
-        "lhs_rational": str(lhs.q0),
-        "lhs_logs": {str(p): str(c) for p, c in sorted(lhs.logs.items())},
-        "rhs_rational": str(rhs.q0),
-        "rhs_logs": {str(p): str(c) for p, c in sorted(rhs.logs.items())},
+        "lhs_rational": lhs_cells["q0"],
+        "lhs_logs": lhs_cells["logs"],
+        "rhs_rational": rhs_cells["q0"],
+        "rhs_logs": rhs_cells["logs"],
         "arch_lhs": float(lhs.resid) + 0.0,
         "arch_rhs": float(rhs.resid) + 0.0,
         "pass": bool(ok),
@@ -297,15 +305,16 @@ def _shell_budget(form, alpha, p):
 
 
 def _density_item(item):
-    D, form, alpha, places = item
+    lattice, alpha, places = item
+    form = lattice.norm_form()
     rows = []
     for p in places:
         shells = shell_coefficients(form, alpha, p, jmax=_shell_budget(form, alpha, p))
         rows.append({
             "alpha": str(alpha),
             "place": str(p),
-            "splitting": splitting_type(D, p),
-            "central_value": str(central_value(D, form, alpha, p)),
+            "splitting": splitting_type(lattice.D, p),
+            "central_value": str(central_value(lattice, alpha, p)),
             "shells": {str(j): str(c) for j, c in enumerate(shells)},
         })
     rows.append({
@@ -375,30 +384,23 @@ def _density_lattice(config):
     D = config.disc
     scale = config.lattice_scale if config.lattice_scale is not None else config.xi
     if config.lattice_ideal == "principal":
-        ideal = Ideal.maximal_order(D)
-    else:
-        p = int(config.lattice_ideal.split(":", 1)[1])
-        try:
-            ideal = Ideal.prime_above(D, p)
-        except (AssertionError, ValueError):
-            raise ConfigError(f"no usable prime above {p} for D = {D}") from None
-    return Lattice(D, ideal, scale)
+        return Lattice.standard(D, scale)
+    return Lattice(D, prime_form(D, int(config.lattice_ideal.split(":", 1)[1])), scale)
 
 
 def run_densities(config):
     """Inspection dump: per target and place, the exact central value of the
     chosen lattice and the truncated shell coefficients."""
     lattice = _density_lattice(config)
-    form = lattice.norm_form()
     meta = {
         "discriminant": config.disc,
         "xi": str(config.xi),
         "lattice_scale": str(lattice.scale),
         "lattice_ideal": config.lattice_ideal,
-        "form": [str(c) for c in form],
+        "form": [str(c) for c in lattice.norm_form()],
     }
     items = [
-        (config.disc, form, a, tuple(support_primes(2 * config.disc, a, lattice.scale)))
+        (lattice, a, tuple(support_primes(2 * config.disc, a, lattice.scale)))
         for a in config.alphas
     ]
     chunks = _map_rows(_density_item, items, config.jobs)

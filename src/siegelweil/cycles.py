@@ -10,12 +10,14 @@ log N(P) = f log p, weighted by one over the unit group order.  At the
 archimedean place no finite points exist and the whole degree is the
 Green-function weight against the negative-definite neighbor's vectors.
 
-The depth needs no ideal arithmetic.  A vector x of the family lattice
-(J, s) with Q(x) = s N(x) / N(J) = alpha has v_P(x) - v_P(J) = v_p(alpha/s)/f,
-since P is the only prime above the non-split p; so every point of every
-family member has the same depth 1 + v_p(alpha/s)/f, and the degree is that
-depth times the family's total representation number.  The membership loop
-of divisibility_depth and the explicit points of cycle_points are test
+The depth needs no ideal arithmetic.  A family lattice (form, s) is the
+ideal J = Z a + Z (b + sqrt D)/2 of its form (a, b, c) with
+Q(x) = s N(x) / N(J), so a vector x of length alpha has
+v_P(x) - v_P(J) = v_p(alpha/s)/f, since P is the only prime above the
+non-split p; every point of every family member has the same depth
+1 + v_p(alpha/s)/f, and the degree is that depth times the family's total
+representation number.  The membership loop of divisibility_depth and the
+explicit points of cycle_points rebuild J from the form; they are test
 oracles for this formula.
 
 The assembly step (multiplicities in, degree out) is split from the point
@@ -28,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .archwhittaker import arch_green_factor
-from .field import INF, LogLinear, val, weight_denominator
+from .field import INF, Ideal, LogLinear, form_to_ideal, val, weight_denominator
 from .hermitian import Collection, InternalError, coherent_neighbor
 
 _DEPTH_LIMIT = 64
@@ -36,12 +38,13 @@ _DEPTH_LIMIT = 64
 
 def divisibility_depth(vector, lattice, prime):
     """1 + (number of times prime divides the vector inside the lattice):
-    the membership loop runs until P^m * (lattice ideal) no longer contains
-    the vector.  A test oracle for the depth formula of arithmetic_degree."""
+    the membership loop runs until P^m * J no longer contains the vector, J
+    the ideal of the lattice's form.  A test oracle for the depth formula of
+    arithmetic_degree."""
     x, y = vector
     assert x != 0 or y != 0
     depth = 0
-    current = lattice.ideal
+    current = form_to_ideal(lattice.D, lattice.form)
     while current.contains(vector):
         depth += 1
         current = prime.mul(current)
@@ -51,13 +54,11 @@ def divisibility_depth(vector, lattice, prime):
 
 
 def _vector_elements(lattice, alpha):
-    """Lattice vectors of length alpha as field elements (coordinate pairs
-    in the (1, sqrt D)/2-basis)."""
-    g1, g2 = lattice.ideal.gens()
-    out = []
-    for cx, cy in lattice.vectors(alpha):
-        out.append((g1[0] * cx + g2[0] * cy, g1[1] * cx + g2[1] * cy))
-    return out
+    """Lattice vectors of length alpha as field elements x + y sqrt D, from
+    their coordinates in the basis (a, (b + sqrt D)/2) of the form (a, b, c)
+    (not the HNF basis of its ideal, which differs when b < 0)."""
+    a, b, _ = lattice.form
+    return [(a * cx + Fraction(b * cy, 2), Fraction(cy, 2)) for cx, cy in lattice.vectors(alpha)]
 
 
 def assemble_finite_degree(depths, f, w, p):
@@ -83,10 +84,11 @@ def cycle_points(D, xi, alpha):
     assert len(diff) == 1 and diff[0] != INF
     p = diff[0]
     neighbor = coherent_neighbor(D, Fraction(xi), p)
+    prime = Ideal.prime_above(D, p)
     points = []
     for idx, lattice in enumerate(neighbor.family):
         for vec in _vector_elements(lattice, alpha):
-            points.append((idx, vec, divisibility_depth(vec, lattice, neighbor.prime)))
+            points.append((idx, vec, divisibility_depth(vec, lattice, prime)))
     return p, neighbor.f, points
 
 

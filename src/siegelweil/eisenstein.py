@@ -53,14 +53,8 @@ def _sw_family(D, xi):
     return coherent_neighbor(D, xi, distinguished_flip_prime(D)).family
 
 
-def _family_average(fam, D, alpha, p):
-    return sum(central_value(D, L.norm_form(), alpha, p) for L in fam) / len(fam)
-
-
-def averaged_central_value(D, alpha, p, xi=-1):
-    """Central value at p averaged over the genus family of the coherent
-    neighbor at the distinguished prime."""
-    return _family_average(_sw_family(D, Fraction(xi)), D, alpha, p)
+def _family_average(fam, alpha, p):
+    return sum(central_value(L, alpha, p) for L in fam) / len(fam)
 
 
 def _coherent_sides(D, alpha, xi):
@@ -70,7 +64,7 @@ def _coherent_sides(D, alpha, xi):
     lhs = Fraction(sum(L.rep_number(alpha) for L in fam), weight_denominator(D))
     prod = Fraction(1)
     for p in support_primes(2 * D, alpha, xi):
-        prod *= _family_average(fam, D, alpha, p)
+        prod *= _family_average(fam, alpha, p)
     return lhs, prod
 
 
@@ -139,12 +133,12 @@ def central_value_coefficient(D, xi, alpha, calibration_alpha=None):
     xi = Fraction(xi)
     alpha = Fraction(alpha)
     assert alpha != 0
-    base_form = Lattice.standard(D, xi).norm_form()
+    base = Lattice.standard(D, xi)
     prod = Fraction(kappa_derivative(D, xi, calibration_alpha)) * arch_central_value(alpha)
     for p in support_primes(2 * D, alpha, xi):
         if prod == 0:
             break
-        prod *= central_value(D, base_form, alpha, p)
+        prod *= central_value(base, alpha, p)
     return prod
 
 
@@ -167,17 +161,17 @@ def derivative_coefficient(D, xi, alpha, y=1, calibration_alpha=None):
     if len(diff) >= 2:
         return LogLinear(0)
     kappa = kappa_derivative(D, xi, calibration_alpha)
-    base_form = Lattice.standard(D, xi).norm_form()
+    base = Lattice.standard(D, xi)
     place = diff[0]
     if place == INF:
         value = float(kappa) * arch_central_derivative(alpha, y)
         for p in support_primes(2 * D, alpha, xi):
-            value *= float(central_value(D, base_form, alpha, p))
+            value *= float(central_value(base, alpha, p))
         return LogLinear(0, {}, value)
     neighbor = coherent_neighbor(D, xi, place)
     scale = Fraction(kappa)
     for p in support_primes(2 * D, alpha, xi):
         if p == place:
             continue
-        scale *= central_value(D, base_form, alpha, p)
+        scale *= central_value(base, alpha, p)
     return central_derivative(neighbor, alpha).scaled(scale)

@@ -388,21 +388,11 @@ class LogLinear:
     def __hash__(self):
         return hash((self.q0, tuple(sorted(self.logs.items()))))
 
-    def is_zero(self):
-        return self.q0 == 0 and not self.logs and self.resid == 0.0
-
-    def to_float(self):
-        return float(self.q0) + sum(float(c) * math.log(p) for p, c in self.logs.items()) + self.resid
-
     def to_json(self):
         return {
             "q0": str(self.q0),
             "logs": {str(p): str(c) for p, c in sorted(self.logs.items())},
         }
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(Fraction(d["q0"]), {int(p): Fraction(c) for p, c in d["logs"].items()})
 
     def __repr__(self):
         terms = [str(self.q0)] if self.q0 else []
@@ -479,6 +469,19 @@ class ClassGroup:
 @lru_cache(maxsize=None)
 def class_group(D):
     return ClassGroup(D)
+
+
+def prime_form(D, p):
+    """The norm form of the prime above the rational prime p: (p, b, c) with
+    the least b in [0, 2p) and b^2 - 4pc = D (for split p the factor with
+    that b), or the principal form at an inert p, whose prime is (p).  Such
+    a b exists for every prime p; anything else raises ValueError."""
+    if prime_divisors(p) != [p]:
+        raise ValueError(f"{p} is not a prime")
+    if splitting_type(D, p) == "inert":
+        return class_group(D).forms[0]
+    b = next(b for b in range(2 * p) if (b * b - D) % (4 * p) == 0)
+    return (p, b, (b * b - D) // (4 * p))
 
 
 def unit_count(D):
@@ -584,14 +587,10 @@ class Ideal:
 
     @classmethod
     def prime_above(cls, D, p):
-        """The prime over p; for split p the factor with the smallest HNF b."""
-        st = splitting_type(D, p)
-        if st == "inert":
-            return cls(D, p, 1, abs(D) % 2)
-        for b in range(0, 2 * p):
-            if (b * b - D) % (4 * p) == 0:
-                return cls(D, 1, p, b)
-        raise AssertionError(f"no prime found above {p} for D={D}")
+        """The prime over p, with the norm form prime_form(D, p)."""
+        a, b, _ = prime_form(D, p)
+        # at an inert p the form is principal and the prime is p * O_E
+        return cls(D, p if a == 1 else 1, a, b)
 
     # -- basic data --------------------------------------------------------
 

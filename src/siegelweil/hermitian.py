@@ -8,16 +8,17 @@ the input to the verification, and their coherent neighbors (flip one
 non-split place back) carry the lattice families whose point counts form the
 geometric side.
 
-Lattices are pairs (fractional ideal, rational scale) with the quadratic form
-Q(x) = scale * N(x) / N(ideal); their norm forms are classical binary
-quadratic forms, so representation numbers are exact small searches.  The
-coherent neighbor's lattice is constructed from genus theory: its scale is
-fixed by the flip place and its ideal class by genus characters.  Its family
-is one lattice (form_to_ideal(D, g), scale) per reduced form g of the class
-group: twisting the base lattice by every class only permutes the classes,
-so no ideal product is needed.  The local classification (local_class_key)
-and Lattice.twist certify that construction in the tests; no production path
-calls them.
+Lattices are pairs (form, scale): Z^2 with the quadratic form scale * form
+for a primitive positive-definite integral binary form of discriminant D,
+isometric to any ideal J of the form's class with Q(x) = scale * N(x) / N(J).
+Representation numbers are exact small searches.  The coherent neighbor's
+lattice is constructed from genus theory: its scale is fixed by the flip
+place and its form class by genus characters.  Its family is one lattice
+(g, scale) per reduced form g of the class group: twisting the base lattice
+by every class only permutes the classes, so no ideal arithmetic is needed.
+The local classification (local_class_key) and Lattice.twist, the one place
+here that builds ideals, certify that construction in the tests; no
+production path calls them.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from functools import lru_cache
 
 from .field import (
     INF,
-    Ideal,
     binary_form_count_fast,
     class_group,
-    form_to_ideal,
     hilbert_symbol,
     is_fundamental_discriminant,
     legendre,
+    prime_divisors,
     ramified_primes,
     splitting_type,
     support_primes,
@@ -44,12 +44,18 @@ from .field import (
 )
 
 
+class InternalError(Exception):
+    """A construction that the theory guarantees came out empty: a defect of
+    the program, not of its input.  The command line exits with code 3."""
+
+
 def nonnorm_rep(D, p):
     """A canonical non-norm of E_p/Q_p at a non-split finite p: the inert
     places use the uniformizer p, the ramified ones the smallest positive
     unit that fails to be a norm."""
     st = splitting_type(D, p)
-    assert st != "split", "split places have no non-norms"
+    if st == "split":
+        raise ValueError(f"the split place {p} has no non-norms")
     if st == "inert":
         return Fraction(p)
     u = 1
@@ -67,9 +73,11 @@ class LocalSpace:
     __slots__ = ("D", "v", "scale")
 
     def __init__(self, D, v, scale):
-        assert is_fundamental_discriminant(D)
+        if not is_fundamental_discriminant(D):
+            raise ValueError(f"{D} is not a fundamental imaginary quadratic discriminant")
         scale = Fraction(scale)
-        assert scale != 0
+        if scale == 0:
+            raise ValueError("a local space needs a nonzero scale")
         self.D, self.v = D, v
         if v == INF:
             self.scale = Fraction(1 if scale > 0 else -1)
@@ -85,7 +93,8 @@ class LocalSpace:
 
     def represents(self, alpha):
         alpha = Fraction(alpha)
-        assert alpha != 0
+        if alpha == 0:
+            raise ValueError("the target 0 is excluded")
         if self.v == INF:
             return (alpha > 0) == (self.scale > 0)
         if splitting_type(self.D, self.v) == "split":
@@ -108,13 +117,16 @@ class Collection:
     __slots__ = ("D", "xi", "flips", "arch_neg")
 
     def __init__(self, D, xi, flips=(), arch_neg=False):
-        assert is_fundamental_discriminant(D)
+        if not is_fundamental_discriminant(D):
+            raise ValueError(f"{D} is not a fundamental imaginary quadratic discriminant")
         self.D = D
         self.xi = Fraction(xi)
-        assert self.xi != 0
+        if self.xi == 0:
+            raise ValueError("a collection needs a nonzero scale xi")
         flips = frozenset(flips)
         for p in flips:
-            assert p != INF and splitting_type(D, p) != "split", f"cannot flip {p}"
+            if p == INF or prime_divisors(p) != [p] or splitting_type(D, p) == "split":
+                raise ValueError(f"cannot flip {p}: only non-split finite places flip")
         self.flips = flips
         self.arch_neg = bool(arch_neg)
 
@@ -151,7 +163,8 @@ class Collection:
         adelic product misses alpha somewhere; for incoherent collections it
         always has odd size."""
         alpha = Fraction(alpha)
-        assert alpha != 0
+        if alpha == 0:
+            raise ValueError("the target 0 is excluded")
         cand = sorted({*support_primes(2 * self.D, self.xi, alpha), *self.flips})
         out = [p for p in cand if not self.represents_at(p, alpha)]
         if not self.represents_at(INF, alpha):
@@ -181,55 +194,45 @@ class Collection:
 
 
 class Lattice:
-    """(ideal, scale): the rank-one Hermitian lattice with quadratic form
-    Q(x) = scale * N(x) / N(ideal) on the fractional ideal."""
+    """(form, scale): the rank-one Hermitian lattice Z^2 with the quadratic
+    form Q = scale * form, for a primitive positive-definite integral form
+    (a, b, c) of discriminant D.  It is the lattice (J, scale) with
+    Q(x) = scale * N(x) / N(J) on the ideal J = Z a + Z (b + sqrt D)/2, in
+    that basis; the sign of the scale is the definiteness."""
 
-    __slots__ = ("D", "ideal", "scale")
+    __slots__ = ("D", "form", "scale")
 
-    def __init__(self, D, ideal, scale):
-        assert isinstance(ideal, Ideal) and ideal.D == D
-        self.D = D
-        self.ideal = ideal
-        self.scale = Fraction(scale)
-        assert self.scale != 0
+    def __init__(self, D, form, scale):
+        a, b, c = form
+        if b * b - 4 * a * c != D:
+            raise ValueError(f"the form {form} does not have discriminant {D}")
+        if D >= 0 or a <= 0 or math.gcd(a, b, c) != 1:
+            raise ValueError(f"the form {form} is not primitive positive definite")
+        scale = Fraction(scale)
+        if scale == 0:
+            raise ValueError("a lattice needs a nonzero scale")
+        self.D, self.form, self.scale = D, (a, b, c), scale
 
     @classmethod
     def standard(cls, D, scale):
-        return cls(D, Ideal.maximal_order(D), scale)
+        """(O_E, scale): the principal form at the given scale."""
+        return cls(D, class_group(D).forms[0], scale)
 
     def norm_form(self):
-        """Rational binary form (A, B, C) of Q on the HNF basis of the ideal.
-        The q-part of the ideal cancels: (A, B, C) = scale*(a, b, (b^2-D)/4a)."""
-        a, b = self.ideal.a, self.ideal.b
-        c = (b * b - self.D) // (4 * a)
-        s = self.scale
-        return (s * a, s * b, s * c)
-
-    def is_positive_definite(self):
-        return self.scale > 0
-
-    def integer_form(self):
-        """(m, (a, b, c)): the norm form as m * primitive-integer-multiple,
-        i.e. norm_form == m*(a, b, c) with integer (a, b, c), a > 0."""
-        A, B, C = self.norm_form()
-        den = A.denominator
-        for x in (B, C):
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        ai, bi, ci = int(A * den), int(B * den), int(C * den)
-        g = math.gcd(math.gcd(ai, bi), ci)
-        sign = 1 if ai > 0 else -1
-        return Fraction(sign * g, den), (sign * ai // g, sign * bi // g, sign * ci // g)
+        """Rational binary form scale * form of Q on Z^2."""
+        return tuple(self.scale * x for x in self.form)
 
     def vectors(self, alpha):
-        """All (x, y) in Z^2 with Q(x*g1 + y*g2) == alpha (alpha != 0)."""
+        """All (x, y) in Z^2 with Q(x, y) == alpha (alpha != 0)."""
         alpha = Fraction(alpha)
-        assert alpha != 0
-        m, (a, b, c) = self.integer_form()
-        t = alpha / m
+        if alpha == 0:
+            raise ValueError("the target 0 is excluded")
+        t = alpha / self.scale
         if t.denominator != 1 or t <= 0:
             return []
         t = int(t)
-        disc = b * b - 4 * a * c
+        a, b, _ = self.form
+        disc = self.D
         out = []
         ylim = math.isqrt(4 * a * t // abs(disc))
         for y in range(-ylim, ylim + 1):
@@ -250,19 +253,18 @@ class Lattice:
             return 1
         return len(self.vectors(alpha))
 
-    def twist(self, f_or_ideal):
-        """Twist by a class group element (reduced form) or by an ideal:
-        multiply the ideal, keep the scale.  Base-point twists permute the
-        isometry classes of the genus family; a test oracle for the family
-        of CoherentNeighbor."""
-        if isinstance(f_or_ideal, Ideal):
-            b_ideal = f_or_ideal
-        else:
-            b_ideal = form_to_ideal(self.D, f_or_ideal)
-        return Lattice(self.D, b_ideal.mul(self.ideal), self.scale)
+    def twist(self, g):
+        """Twist by the class of the form g: multiply the ideals of the two
+        classes, keep the scale; the result carries the reduced form of the
+        product.  Base-point twists permute the isometry classes of the genus
+        family; a test oracle for the family of CoherentNeighbor."""
+        from .field import form_to_ideal  # ideal arithmetic stays oracle-only
+
+        product = form_to_ideal(self.D, g).mul(form_to_ideal(self.D, self.form))
+        return Lattice(self.D, product.to_form(), self.scale)
 
     def __repr__(self):
-        return f"Lattice(D={self.D}, ideal={self.ideal!r}, scale={self.scale})"
+        return f"Lattice(D={self.D}, form={self.form}, scale={self.scale})"
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +282,16 @@ class Lattice:
 
 def _min_val3(A, B, C, p):
     vals = [val(x, p) for x in (A, C, A + B + C) if x != 0]
-    assert vals, "degenerate form"
+    if not vals:
+        raise ValueError("degenerate form")
     return min(vals)
 
 
 def local_class_key(form, p):
     A, B, C = (Fraction(t) for t in form)
     disc = B * B - 4 * A * C
-    assert disc != 0
+    if disc == 0:
+        raise ValueError("degenerate form")
     if p != 2:
         m = _min_val3(A, B, C, p)
         # rotate a minimal-valuation value into the (1,0) slot
@@ -296,7 +300,8 @@ def local_class_key(form, p):
                 A, C = C, A
             else:
                 A, B = A + B + C, B + 2 * C
-        assert val(A, p) == m
+        if val(A, p) != m:
+            raise InternalError(f"no value of content {m} in the slot of {form} at {p}")
         # complete the square: diag(A, -disc/(4A))
         d2 = -disc / (4 * A)
         e1, e2 = val(A, p), val(d2, p)
@@ -323,18 +328,13 @@ def local_class_key(form, p):
 # coherent neighbors
 
 
-class InternalError(Exception):
-    """A construction that the theory guarantees came out empty: a defect of
-    the program, not of its input.  The command line exits with code 3."""
-
-
 class CoherentNeighbor:
     """The coherent collection obtained from an incoherent one by flipping a
     single place v, realized by an actual global lattice presentation.
 
-    family holds one lattice (form_to_ideal(D, g), scale) per reduced form
-    g of the class group, at the scale fixed by the flip place; their
-    weighted representation numbers form the geometric side.  Twisting any
+    family holds one lattice (g, scale) per reduced form g of the class
+    group, at the scale fixed by the flip place; their weighted
+    representation numbers form the geometric side.  Twisting any
     member by every class gives the same classes in another order.
     base_lattice is the member picked by the genus characters: its local
     data agrees with the incoherent collection at every finite place except
@@ -353,20 +353,17 @@ class CoherentNeighbor:
         "flip_place",
         "base_lattice",
         "family",
-        "prime",
         "f",
         "norm_unif",
         "flip_local_model",
     )
 
-    def __init__(self, D, xi, flip_place, family, base_lattice, prime, f, norm_unif,
-                 flip_local_model):
+    def __init__(self, D, xi, flip_place, family, base_lattice, f, norm_unif, flip_local_model):
         self.D = D
         self.xi = Fraction(xi)
         self.flip_place = flip_place
         self.family = family
         self.base_lattice = base_lattice
-        self.prime = prime
         self.f = f
         self.norm_unif = norm_unif
         self.flip_local_model = flip_local_model
@@ -395,9 +392,9 @@ def _norm_uniformizer(D, p):
 
 
 def _class_family(D, scale):
-    """One lattice (form_to_ideal(D, g), scale) per reduced form g, in the
-    order of class_group(D).forms (the principal class first)."""
-    return tuple(Lattice(D, form_to_ideal(D, g), scale) for g in class_group(D).forms)
+    """One lattice (g, scale) per reduced form g, in the order of
+    class_group(D).forms (the principal class first)."""
+    return tuple(Lattice(D, g, scale) for g in class_group(D).forms)
 
 
 @lru_cache(maxsize=None)
@@ -405,44 +402,46 @@ def coherent_neighbor(D, xi, flip_place):
     """The coherent collection next to the incoherent Collection(D, xi)
     across the place flip_place, as a global lattice with its family.
 
-    At a finite flip p the base lattice is (I, s) with s = |xi| p when p is
-    inert and s = |xi| when p is ramified, and I = form_to_ideal(D, f) for
-    the first reduced form f whose leading coefficient a = N(I) satisfies
-    (s a xi, D)_q = -1 at q = p and +1 at every other prime q | D.  Locally
-    (I, s) is (O_q, s N(g) / a) for a local generator g of I, so it matches
-    (O, xi) at q != p and the flipped model at p exactly when s N(g) / (a xi)
-    (times the non-norm at a ramified p) is a unit norm; away from D and p
-    that holds for every class, and at q | D it is the symbol condition.
+    At a finite flip p the base lattice is ((a, b, c), s) with s = |xi| p
+    when p is inert and s = |xi| when p is ramified, for the first reduced
+    form (a, b, c) with (s a xi, D)_q = -1 at q = p and +1 at every other
+    prime q | D.  It is the ideal I = Z a + Z (b + sqrt D)/2 of norm a with
+    Q(x) = s N(x) / a, so locally it is (O_q, s N(g) / a) for a local
+    generator g of I, and it matches (O, xi) at q != p and the flipped model
+    at p exactly when s N(g) / (a xi) (times the non-norm at a ramified p)
+    is a unit norm; away from D and p that holds for every class, and at
+    q | D it is the symbol condition.
     Genus theory (Gauss; Cox, "Primes of the form x^2 + ny^2", section 3)
     says every choice of genus characters with the right product is taken
     by some class, so a matching form always exists.  The family is the
     class group at the same scale, and the base lattice is picked from it.
     """
     base = Collection(D, xi)
-    assert not base.is_coherent(), "base collection must be incoherent"
-    assert base.flipped(flip_place).is_coherent()
+    if base.is_coherent():
+        raise ValueError(f"{base} is coherent; its neighbors need incoherent data")
+    if not base.flipped(flip_place).is_coherent():
+        raise ValueError(f"flipping {flip_place} leaves {base} incoherent")
     xi = Fraction(xi)
 
+    # incoherent with no flips means xi < 0: the archimedean neighbor is
+    # negative definite
     if flip_place == INF:
-        assert xi < 0, "archimedean flip needs a negative scale"
         family = _class_family(D, xi)
-        return CoherentNeighbor(D, xi, INF, family, family[0], None, None, None, None)
+        return CoherentNeighbor(D, xi, INF, family, family[0], None, None, None)
 
     p = flip_place
-    st = splitting_type(D, p)
-    assert st in ("inert", "ramified")
-    if st == "inert":
-        f, scale, flip_model = 2, abs(xi) * p, Lattice.standard(D, xi * p)
+    if splitting_type(D, p) == "inert":
+        f, scale, flip_scale = 2, abs(xi) * p, xi * p
     else:
-        f, scale, flip_model = 1, abs(xi), Lattice.standard(D, xi * nonnorm_rep(D, p))
+        f, scale, flip_scale = 1, abs(xi), xi * nonnorm_rep(D, p)
     places = sorted({p, *ramified_primes(D)})
     family = _class_family(D, scale)
     for lattice in family:
-        t = scale * lattice.ideal.norm * xi
+        t = scale * lattice.form[0] * xi
         if all(hilbert_symbol(t, D, q) == (-1 if q == p else 1) for q in places):
             return CoherentNeighbor(
-                D, xi, p, family, lattice, Ideal.prime_above(D, p), f, _norm_uniformizer(D, p),
-                flip_model,
+                D, xi, p, family, lattice, f, _norm_uniformizer(D, p),
+                Lattice.standard(D, flip_scale),
             )
     raise InternalError(
         f"no ideal class has the genus characters of the coherent neighbor "

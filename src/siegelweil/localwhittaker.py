@@ -92,21 +92,15 @@ def dirichlet_factor(D, p):
     return 1 - Fraction(kronecker(D, p), p)
 
 
-def central_value(D, form, alpha, p):
+def central_value(lattice, alpha, p):
     """Central value of the local Whittaker function attached to a rank-one
-    Hermitian lattice with the given norm form: density over covolume and
-    Dirichlet factor.  Nonzero exactly when the lattice's local space
+    Hermitian lattice: density over covolume and Dirichlet factor.  The
+    norm form scale * form has discriminant scale^2 D, so the covolume is
+    p^val_p(scale).  Nonzero exactly when the lattice's local space
     represents alpha; equal to 1 for a self-dual lattice at an unramified
     place and a unit alpha."""
-    den = local_density(form, alpha, p)
-    disc = form[1] * form[1] - 4 * form[0] * form[2]
-    d = val(Fraction(disc), p) - val(Fraction(D), p)
-    assert d % 2 == 0, "norm-form discriminant should differ from D by a square"
-    return Fraction(p) ** (-d // 2) * den / dirichlet_factor(D, p)
-
-
-def lattice_central_value(lattice, alpha, p):
-    return central_value(lattice.D, lattice.norm_form(), alpha, p)
+    den = local_density(lattice.norm_form(), alpha, p)
+    return Fraction(p) ** -val(lattice.scale, p) * den / dirichlet_factor(lattice.D, p)
 
 
 def central_derivative(neighbor, alpha):
@@ -116,17 +110,21 @@ def central_derivative(neighbor, alpha):
     The derivative telescopes over divisions of alpha by the norm uniformizer
     r (a rational generating N(pi_E)): each division shifts a unitary change
     of variable in the defining integral and leaves a central value of the
-    flipped lattice behind, weighted by -(1/2) log N(P) = -(f/2) log p.
+    flipped lattice behind, weighted by -(1/2) log N(P) = -(f/2) log p.  The
+    sum runs down to the flipped lattice's content val_p(scale), below which
+    it represents nothing; with p in the denominator of xi that content is
+    negative.
     """
     alpha = Fraction(alpha)
     assert alpha != 0
     p = neighbor.flip_place
-    form = neighbor.flip_local_model.norm_form()
+    model = neighbor.flip_local_model
+    content = val(model.scale, p)
     r = neighbor.norm_unif
     total = Fraction(0)
     a = alpha
-    while val(a, p) >= 0:
-        total += central_value(neighbor.D, form, a, p)
+    while val(a, p) >= content:
+        total += central_value(model, a, p)
         a /= r
     coeff = -Fraction(neighbor.f, 2) * total
     return LogLinear(0, {p: coeff})

@@ -20,7 +20,7 @@ from siegelweil import (
 )
 from siegelweil.cycles import assemble_finite_degree, divisibility_depth
 from siegelweil.eisenstein import distinguished_flip_prime
-from siegelweil.field import Ideal, ideal_val, unit_count, val
+from siegelweil.field import Ideal, form_to_ideal, ideal_val, unit_count, val
 from siegelweil.hermitian import Collection
 from siegelweil.localwhittaker import (
     central_derivative,
@@ -177,14 +177,14 @@ def test_local_identities():
     for D, place in [(-4, 2), (-4, 3), (-3, 3), (-7, 7),
                      (-8, 2), (-11, 11), (-23, 23), (-20, 2)]:
         nb = coherent_neighbor(D, XI, place)
-        model = nb.flip_local_model.norm_form()
+        model = nb.flip_local_model
         r, f, p = nb.norm_unif, nb.f, place
         for mult in (1, 2, 3, 5):
             for power in (1, 2, 3):
                 a = Fraction(mult * p**power)
                 seen.add((p, a))
                 lhs = central_derivative(nb, a) - central_derivative(nb, a / r)
-                step = LogLinear(0, {p: -Fraction(f, 2) * central_value(D, model, a, p)})
+                step = LogLinear(0, {p: -Fraction(f, 2) * central_value(model, a, p)})
                 if lhs != step:
                     failures.append(("telescope", D, place, a))
     assert len(seen) >= 50
@@ -237,10 +237,10 @@ def test_planted_depths_and_degrees():
                         (-8, 2, 2), (-11, 11, 2)]:
         nb = coherent_neighbor(D, XI, place)
         lattice = nb.base_lattice
-        P = nb.prime
-        g1, _ = lattice.ideal.gens()
+        P = Ideal.prime_above(D, place)
+        g1 = (Fraction(lattice.form[0]), Fraction(0))
         d0 = divisibility_depth(g1, lattice, P)
-        base_val = ideal_val(lattice.ideal, P)
+        base_val = ideal_val(form_to_ideal(D, lattice.form), P)
         w = unit_count(D) // 2
         for k in (1, 2, 3, 4):
             planted = (g1[0] * place**k, g1[1] * place**k)

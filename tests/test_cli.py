@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelweil import cli, cycles, eisenstein, field, hermitian, localwhittaker
+from siegelweil import cli, eisenstein, field, hermitian, localwhittaker
 from siegelweil.cli import (
     ConfigError,
     Report,
@@ -181,26 +181,64 @@ def test_main_neighbor_construction_failure_exits_3(capsys, monkeypatch):
 
 
 def test_main_finite_degrees_need_no_ideal_arithmetic(capsys, monkeypatch, tmp_path):
-    """Depths come from one valuation and the family from the class group:
-    a sweep with fresh neighbors runs with ideal products, ideal membership
-    and the depth loop all disabled."""
+    """A lattice is a (form, scale) pair, depths come from one valuation and
+    the family from the class group: with every cache cold and no ideal
+    constructible, the sweeps at finite and archimedean places and a
+    densities dump of a prime lattice all run and pass."""
     def forbidden(*args):
         raise RuntimeError("ideal arithmetic on the production path")
 
-    monkeypatch.setattr(Ideal, "mul", forbidden)
-    monkeypatch.setattr(Ideal, "contains", forbidden)
-    monkeypatch.setattr(cycles, "divisibility_depth", forbidden)
-    cfg = tmp_path / "serial.cfg"
-    cfg.write_text("jobs = 1\n")
-    hermitian.coherent_neighbor.cache_clear()
-    try:
-        code = main(["verify", str(cfg), "--disc", "-23", "--alpha", "1..64", "--format", "csv"])
-    finally:
+    monkeypatch.setattr(Ideal, "__init__", forbidden)
+    serial = tmp_path / "serial.cfg"
+    serial.write_text("jobs = 1\n")
+    prime = tmp_path / "prime.cfg"
+    prime.write_text("jobs = 1\nlattice_ideal = prime:3\n")
+    runs = [
+        ["verify", str(serial), "--disc", "-23", "--alpha", "1..64"],
+        ["siegel-weil", str(serial), "--disc", "-24", "--alpha", "1..200"],
+        ["verify", str(serial), "--disc", "-239", "--alpha", "-60..-1"],
+        ["densities", str(prime), "--disc", "-23"],
+    ]
+    for argv in runs:
+        eisenstein.kappa_sw.cache_clear()
         hermitian.coherent_neighbor.cache_clear()
+        try:
+            code = main([*argv, "--format", "csv"])
+        finally:
+            eisenstein.kappa_sw.cache_clear()
+            hermitian.coherent_neighbor.cache_clear()
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows, argv
+        if argv[0] != "densities":
+            assert len(rows) == len(cli.parse_targets(argv[-1])), argv
+            assert [r for r in rows if not r.endswith("true")] == [], argv
+        assert code == 0, argv
+
+
+@pytest.mark.parametrize("disc,xi,alpha", [
+    ("-7", "-6/7", "-20..60"),   # ramified 7 in the denominator of xi
+    ("-4", "-1/9", "-30..80"),   # inert 3 in the denominator of xi
+])
+def test_main_verify_telescopes_to_the_flipped_content(capsys, disc, xi, alpha):
+    """With p in the denominator of xi the flipped lattice has negative
+    content at p and represents targets of negative valuation; the local
+    derivative telescopes down to that content, so every row passes."""
+    code = main(["verify", "--disc", disc, "--xi", xi, "--alpha", alpha, "--format", "csv"])
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert len(rows) == 64
+    assert len(rows) == len(cli.parse_targets(alpha))
     assert [r for r in rows if not r.endswith("true")] == []
     assert code == 0
+
+
+@pytest.mark.parametrize("choice", ["prime:1", "prime:4", "prime:0"])
+def test_main_densities_refuses_a_lattice_ideal_that_is_not_prime(capsys, tmp_path, choice):
+    """prime:p names the prime above p, so p itself must be a prime."""
+    cfg = tmp_path / "lattice.cfg"
+    cfg.write_text(f"lattice_ideal = {choice}\n")
+    assert main(["densities", str(cfg), "--disc", "-23"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" in captured.err and "not a prime" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

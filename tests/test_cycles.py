@@ -10,6 +10,7 @@ from siegelweil.field import (
     INF,
     Ideal,
     LogLinear,
+    form_to_ideal,
     ideal_val,
     is_fundamental_discriminant,
     val,
@@ -30,7 +31,7 @@ from siegelweil.eisenstein import derivative_coefficient, stack_mass
 
 def test_assemblers():
     assert assemble_finite_degree([1, 2, 2], 2, 2, 3) == LogLinear(0, {3: 5})
-    assert assemble_finite_degree([], 1, 2, 5).is_zero()
+    assert assemble_finite_degree([], 1, 2, 5) == LogLinear(0)
     d = assemble_arch_degree(4, 2, Fraction(-1), Fraction(1))
     assert d.q0 == 0 and not d.logs
     assert abs(d.resid - 2 * arch_green_factor(-1, 1)) < 1e-18
@@ -38,18 +39,17 @@ def test_assemblers():
 
 def test_divisibility_depth_against_ideal_valuations():
     """The membership loop agrees with the valuation bookkeeping:
-    depth = v_P((x)) - v_P(lattice ideal) + 1."""
+    depth = v_P((x)) - v_P(lattice ideal) + 1; and the vectors, read in the
+    basis of the lattice's form (which is not the HNF basis of its ideal
+    when b < 0), have norm alpha N(J) / s."""
     for D, place in [(-4, 3), (-4, 2), (-23, 23), (-20, 2), (-7, 7)]:
         nb = coherent_neighbor(D, Fraction(-1), place)
-        P = nb.prime
+        P = Ideal.prime_above(D, place)
         for lattice in nb.family:
-            base = ideal_val(lattice.ideal, P)
+            base = ideal_val(form_to_ideal(D, lattice.form), P)
             for alpha in range(1, 15):
-                vecs = lattice.vectors(Fraction(alpha))
-                for coords in vecs[:3]:
-                    g1, g2 = lattice.ideal.gens()
-                    x = (g1[0] * coords[0] + g2[0] * coords[1],
-                         g1[1] * coords[0] + g2[1] * coords[1])
+                for x in cycles._vector_elements(lattice, Fraction(alpha))[:3]:
+                    assert (x[0] ** 2 - D * x[1] ** 2) * lattice.scale == alpha * lattice.form[0]
                     got = divisibility_depth(x, lattice, P)
                     want = ideal_val(Ideal.principal(D, x), P) - base + 1
                     assert got == want, (D, place, alpha, x)
@@ -60,17 +60,18 @@ def test_divisibility_depth_planted_instances():
     for D, place, e in [(-4, 3, 1), (-4, 2, 2), (-23, 23, 2), (-8, 2, 2)]:
         nb = coherent_neighbor(D, Fraction(-1), place)
         lattice = nb.base_lattice
-        g1, _ = lattice.ideal.gens()
-        d0 = divisibility_depth(g1, lattice, nb.prime)
+        P = Ideal.prime_above(D, place)
+        g1 = (Fraction(lattice.form[0]), Fraction(0))
+        d0 = divisibility_depth(g1, lattice, P)
         for k in (1, 2, 3):
             planted = (g1[0] * place**k, g1[1] * place**k)
-            assert divisibility_depth(planted, lattice, nb.prime) == d0 + e * k
+            assert divisibility_depth(planted, lattice, P) == d0 + e * k
 
 
 def test_depth_rejects_the_zero_vector():
     nb = coherent_neighbor(-4, Fraction(-1), 2)
     with pytest.raises(AssertionError):
-        divisibility_depth((Fraction(0), Fraction(0)), nb.base_lattice, nb.prime)
+        divisibility_depth((Fraction(0), Fraction(0)), nb.base_lattice, Ideal.prime_above(-4, 2))
 
 
 @pytest.mark.parametrize(
@@ -139,7 +140,7 @@ def test_degree_vanishes_on_double_misses():
         for a in range(-12, 13):
             if a and len(coll.diff_set(Fraction(a))) >= 2:
                 hits += 1
-                assert arithmetic_degree(D, -1, Fraction(a)).is_zero()
+                assert arithmetic_degree(D, -1, Fraction(a)) == LogLinear(0)
         assert hits > 0
 
 
@@ -166,7 +167,7 @@ def test_main_identity_smoke():
             lhs = arithmetic_degree(D, -1, Fraction(a))
             rhs = derivative_coefficient(D, -1, Fraction(a)).scaled(-stack_mass(D))
             if len(diff) == 1 and diff[0] != INF:
-                assert not lhs.is_zero()
+                assert lhs != LogLinear(0)
             assert lhs == rhs, (D, a)
 
 

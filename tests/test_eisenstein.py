@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from siegelweil.field import INF, LogLinear
-from siegelweil.hermitian import Collection
+from siegelweil.hermitian import Collection, coherent_neighbor
+from siegelweil.localwhittaker import central_value
 from siegelweil.eisenstein import (
-    averaged_central_value,
     calibration_point,
     central_value_coefficient,
     derivative_coefficient,
@@ -85,10 +85,13 @@ def test_siegel_weil_samples():
 
 
 def test_averaged_central_value_at_the_single_genus():
-    # h(-23) = 3 with one class per genus: the family average at the
-    # ramified place is 2 on every represented target
+    # h(-23) = 3 with one class per genus: every member of the family at the
+    # distinguished prime has central value 2 at the ramified place on every
+    # represented target
+    fam = coherent_neighbor(-23, Fraction(-1), distinguished_flip_prime(-23)).family
+    assert len(fam) == 3
     for a in (1, 2, 3, 4, 6):
-        assert averaged_central_value(-23, Fraction(a), 23) == 2
+        assert [central_value(L, Fraction(a), 23) for L in fam] == [2, 2, 2]
 
 
 def test_derivative_coefficient_finite_anchors():
@@ -107,7 +110,7 @@ def test_derivative_coefficient_double_vanishing():
         for a in range(-15, 16):
             if a and len(coll.diff_set(Fraction(a))) >= 2:
                 found += 1
-                assert derivative_coefficient(D, -1, Fraction(a)).is_zero()
+                assert derivative_coefficient(D, -1, Fraction(a)) == LogLinear(0)
     assert found > 10
 
 

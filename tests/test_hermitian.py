@@ -7,17 +7,18 @@ import pytest
 
 from siegelweil.field import (
     INF,
-    Ideal,
     class_group,
     hilbert_symbol,
     is_fundamental_discriminant,
     kronecker,
+    prime_form,
     ramified_primes,
     support_primes,
     unit_count,
 )
 from siegelweil.hermitian import (
     Collection,
+    InternalError,
     Lattice,
     LocalSpace,
     coherent_neighbor,
@@ -122,7 +123,7 @@ def test_negative_definite_counts_mirror():
 
 
 def test_vectors_have_the_right_length():
-    L = Lattice(-23, Ideal.prime_above(-23, 2), 1)
+    L = Lattice(-23, prime_form(-23, 2), 1)
     form = L.norm_form()
     for a in (1, 2, 3, 4, 6):
         vecs = L.vectors(Fraction(a))
@@ -183,14 +184,12 @@ def test_neighbor_exists_at_every_nonsplit_support_place(D):
             continue
         nb = coherent_neighbor(D, Fraction(-1), v)
         L = nb.base_lattice
-        ratio = L.scale * L.ideal.norm * Fraction(-1)
+        ratio = L.scale * L.form[0] * Fraction(-1)
         for q in (2, 3, 5, 7, 11, 13, 23):
             want = -1 if q == v else 1
             assert hilbert_symbol(ratio, D, q) == want, (D, v, q)
-        if v == INF:
-            assert not L.is_positive_definite()
-        else:
-            assert L.is_positive_definite()
+        # negative definite exactly across the archimedean place
+        assert (L.scale > 0) == (v != INF)
 
 
 @pytest.mark.parametrize("D", DISCS)
@@ -227,7 +226,7 @@ def test_constructed_neighbor_is_certified_by_local_classification(xi):
             L = nb.base_lattice
             assert L.scale == abs(xi) * (p if p in inert else 1), (D, xi, p)
             form = L.norm_form()
-            for q in support_primes(2 * D, xi, L.scale, L.ideal.norm, p):
+            for q in support_primes(2 * D, xi, L.scale, L.form[0], p):
                 want = nb.flip_local_model.norm_form() if q == p else base_form
                 assert local_class_key(form, q) == local_class_key(want, q), (D, xi, p, q)
             cases += 1
@@ -248,10 +247,10 @@ def test_neighbor_family_is_the_class_group(xi):
         for v in ramified_primes(D) + inert + [INF]:
             nb = coherent_neighbor(D, xi, v)
             fam = nb.family
-            assert [L.ideal.to_form() for L in fam] == forms, (D, xi, v)
+            assert [L.form for L in fam] == forms, (D, xi, v)
             assert {L.scale for L in fam} == {nb.base_lattice.scale}
             assert nb.base_lattice in fam
-            twists = sorted(nb.base_lattice.twist(g).ideal.to_form() for g in forms)
+            twists = sorted(nb.base_lattice.twist(g).form for g in forms)
             assert twists == sorted(forms), (D, xi, v)
             neighbors += 1
     assert neighbors > 300
@@ -262,3 +261,62 @@ def test_neighbor_residue_degrees():
     assert coherent_neighbor(-4, Fraction(-1), 2).f == 1    # ramified
     assert coherent_neighbor(-23, Fraction(-1), 23).f == 1
     assert coherent_neighbor(-20, Fraction(-1), 2).norm_unif == -2
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+
+@pytest.mark.parametrize("make", [
+    lambda: Lattice(-23, (1, 1, 5), 1),      # discriminant -19
+    lambda: Lattice(5, (1, 1, -1), 1),       # indefinite
+    lambda: Lattice(-16, (2, 0, 2), 1),      # not primitive
+    lambda: Lattice(-23, (-1, -1, -6), 1),   # negative definite form
+    lambda: Lattice(-23, (1, 1, 6), 0),      # zero scale
+    lambda: Collection(-23, 0),              # xi = 0
+    lambda: Collection(-12, -1),             # not fundamental
+    lambda: Collection(-23, -1, flips={2}),  # 2 splits in Q(sqrt -23)
+    lambda: Collection(-23, -1, flips={INF}),
+    lambda: Collection(-4, -1, flips={15}),  # (-4/15) = -1, but 15 is no place
+    lambda: LocalSpace(-23, 23, 0),
+    lambda: Collection(-23, -1).diff_set(0),
+    lambda: nonnorm_rep(-23, 2),             # split: no non-norms
+    lambda: coherent_neighbor(-23, Fraction(1), 23),  # coherent base collection
+])
+def test_bad_arguments_raise_value_error(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_bad_arguments_are_refused_under_optimisation():
+    """The argument checks are explicit exceptions, so `python -O` (which
+    strips asserts) still refuses a flip at a split place."""
+    import os
+    import subprocess
+    import sys
+
+    import siegelweil
+
+    src = os.path.dirname(os.path.dirname(siegelweil.__file__))
+    code = (
+        "from siegelweil.hermitian import Collection\n"
+        "print('asserts on:', __debug__)\n"
+        "try:\n"
+        "    Collection(-23, -1, flips={2})\n"
+        "except ValueError as e:\n"
+        "    print('refused:', e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == (
+        "asserts on: False\nrefused: cannot flip 2: only non-split finite places flip\n"
+    )
+
+
+def test_local_class_key_reports_a_broken_rotation(monkeypatch):
+    """A rotation that misses the content is a program defect, not bad input."""
+    from siegelweil import hermitian
+
+    monkeypatch.setattr(hermitian, "_min_val3", lambda A, B, C, p: -5)
+    with pytest.raises(InternalError):
+        local_class_key((1, 0, 1), 3)

@@ -16,13 +16,12 @@ from siegelweil.field import (
     reduced_forms,
     val,
 )
-from siegelweil.hermitian import Collection, LocalSpace, coherent_neighbor
+from siegelweil.hermitian import Collection, Lattice, LocalSpace, coherent_neighbor
 from siegelweil.localwhittaker import (
     central_derivative,
     central_value,
     density_sequence,
     dirichlet_factor,
-    lattice_central_value,
     local_density,
     shell_coefficients,
     threshold_measure,
@@ -30,6 +29,7 @@ from siegelweil.localwhittaker import (
 )
 
 GAUSS = (1, 0, 1)  # x^2 + y^2, the norm form for D = -4
+GAUSS_LATTICE = Lattice.standard(-4, 1)
 
 
 def test_dirichlet_factor():
@@ -46,34 +46,32 @@ def test_central_value_split_is_v_plus_one():
                 if u % p == 0:
                     continue
                 a = Fraction(p) ** v * u
-                assert central_value(-4, GAUSS, a, p) == v + 1, (p, a)
+                assert central_value(GAUSS_LATTICE, a, p) == v + 1, (p, a)
 
 
 def test_central_value_inert_is_parity():
     for p in (3, 7):  # inert for D = -4
         for v in range(5):
             a = Fraction(p) ** v * 2
-            assert central_value(-4, GAUSS, a, p) == (1 if v % 2 == 0 else 0), (p, a)
+            assert central_value(GAUSS_LATTICE, a, p) == (1 if v % 2 == 0 else 0), (p, a)
 
 
 def test_central_value_ramified_detects_representability():
     # at p = 2 the Gaussian form takes exactly the values 1, 2 mod nonsquares:
     # central value 2 on represented targets, 0 otherwise
     for a in (1, 2, 4, 5, 8, 9, 10, 13):
-        assert central_value(-4, GAUSS, Fraction(a), 2) == 2, a
+        assert central_value(GAUSS_LATTICE, Fraction(a), 2) == 2, a
     for a in (3, 6, 7, 11, 12, 14, 15):
-        assert central_value(-4, GAUSS, Fraction(a), 2) == 0, a
+        assert central_value(GAUSS_LATTICE, Fraction(a), 2) == 0, a
 
 
 def test_central_value_vanishes_exactly_off_the_represented_set():
     for D in (-3, -8, -23):
-        form = tuple(-x for x in GAUSS) if D == -4 else None
-        from siegelweil.hermitian import Lattice
         L = Lattice.standard(D, -1)
         for p in (2, 3, 5, 23):
             space = LocalSpace(D, p, -1)
             for a in (1, -1, 2, 3, 4, 6, 9, 23):
-                cv = lattice_central_value(L, Fraction(a), p)
+                cv = central_value(L, Fraction(a), p)
                 assert (cv != 0) == space.represents(Fraction(a)), (D, p, a)
                 assert cv >= 0
 
@@ -231,9 +229,9 @@ def test_derivative_telescoping_step():
     model, scaled by f/2."""
     for D, place in [(-4, 3), (-4, 2), (-7, 7), (-23, 23)]:
         nb = coherent_neighbor(D, Fraction(-1), place)
-        form = nb.flip_local_model.norm_form()
+        model = nb.flip_local_model
         r, f, p = nb.norm_unif, nb.f, place
         for a in (Fraction(p), Fraction(p**2), Fraction(3 * p**2), Fraction(p**3)):
             lhs = central_derivative(nb, a) - central_derivative(nb, a / r)
-            step = LogLinear(0, {p: -Fraction(f, 2) * central_value(D, form, a, p)})
+            step = LogLinear(0, {p: -Fraction(f, 2) * central_value(model, a, p)})
             assert lhs == step, (D, place, a)
