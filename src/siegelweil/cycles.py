@@ -96,13 +96,12 @@ def arithmetic_degree(D, xi, alpha, y=1):
     """Degree of the compactified special cycle at a nonzero target, as a
     LogLinear: rational log p coefficients from finite places, a float
     residual from the archimedean Green function, exactly zero when the
-    target is missed at two or more places."""
+    target is missed at two or more places.  The target 0 raises ValueError."""
     xi = Fraction(xi)
     alpha = Fraction(alpha)
-    assert alpha != 0
-    coll = Collection(D, xi)
-    diff = coll.diff_set(alpha)
-    assert diff, "incoherent collections miss every target somewhere"
+    diff = Collection(D, xi).diff_set(alpha)
+    if not diff:
+        raise InternalError(f"Collection({D}, {xi}) represents {alpha} at every place")
     if len(diff) >= 2:
         return LogLinear(0)
     w = weight_denominator(D)

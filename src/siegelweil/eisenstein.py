@@ -111,10 +111,12 @@ kappa_sw.cache_clear = _measured_kappa_sw.cache_clear
 def siegel_weil_check(D, alpha, xi=-1, calibration_alpha=None):
     """Both sides of the coherent-value identity at one target: the family's
     unit-weighted representation count against (1/2) kappa_sw times the
-    product of averaged local central values.  Exact rationals."""
+    product of averaged local central values.  Exact rationals; a target
+    alpha <= 0 raises ValueError."""
     xi = Fraction(xi)
     alpha = Fraction(alpha)
-    assert alpha > 0
+    if alpha <= 0:
+        raise ValueError(f"the coherent-value identity needs a positive target, not {alpha}")
     lhs, prod = _coherent_sides(D, alpha, xi)
     return lhs, Fraction(1, 2) * kappa_sw(D, xi, calibration_alpha) * prod
 
@@ -132,7 +134,8 @@ def central_value_coefficient(D, xi, alpha, calibration_alpha=None):
     local factor is zero."""
     xi = Fraction(xi)
     alpha = Fraction(alpha)
-    assert alpha != 0
+    if alpha == 0:
+        raise ValueError("the target 0 is excluded")
     base = Lattice.standard(D, xi)
     prod = Fraction(kappa_derivative(D, xi, calibration_alpha)) * arch_central_value(alpha)
     for p in support_primes(2 * D, alpha, xi):
@@ -150,14 +153,14 @@ def derivative_coefficient(D, xi, alpha, y=1, calibration_alpha=None):
     outright when two or more places fail to represent the target; with one
     finite bad place the answer is an exact rational multiple of log p; with
     the archimedean place bad it is a float (an exponential integral) stored
-    in the residual slot of the returned LogLinear.
+    in the residual slot of the returned LogLinear.  The target 0 raises
+    ValueError.
     """
     xi = Fraction(xi)
     alpha = Fraction(alpha)
-    assert alpha != 0
-    coll = Collection(D, xi)
-    diff = coll.diff_set(alpha)
-    assert diff, "incoherent collections miss every target somewhere"
+    diff = Collection(D, xi).diff_set(alpha)
+    if not diff:
+        raise InternalError(f"Collection({D}, {xi}) represents {alpha} at every place")
     if len(diff) >= 2:
         return LogLinear(0)
     kappa = kappa_derivative(D, xi, calibration_alpha)

@@ -480,8 +480,28 @@ def prime_form(D, p):
         raise ValueError(f"{p} is not a prime")
     if splitting_type(D, p) == "inert":
         return class_group(D).forms[0]
-    b = next(b for b in range(2 * p) if (b * b - D) % (4 * p) == 0)
+    if p == 2:
+        b = next(b for b in range(4) if (b * b - D) % 8 == 0)
+    else:
+        # b = +-r (mod p) and b = D (mod 2) give b^2 = D (mod 4p)
+        r = sqrt_mod(D, p)
+        b = min(x for x in (r, r + p, p - r, 2 * p - r) if x < 2 * p and (x - D) % 2 == 0)
     return (p, b, (b * b - D) // (4 * p))
+
+
+def sqrt_mod(a, p):
+    """A square root of a modulo the odd prime p, for a a square mod p
+    (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if legendre(z, p) == -1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t > 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def unit_count(D):

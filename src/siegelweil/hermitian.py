@@ -1,12 +1,13 @@
 """Rank-one Hermitian spaces over imaginary quadratic fields.
 
-A local space at a place v of Q is (E_v, Q) with Q(x) = s * N(x) for a scale
-class s in Q_v^x / N(E_v^x); everything about it is decided by Hilbert
-symbols.  A collection fixes one local space per place with almost all of
-them unflipped; the incoherent ones (local invariants multiplying to -1) are
-the input to the verification, and their coherent neighbors (flip one
-non-split place back) carry the lattice families whose point counts form the
-geometric side.
+A local line at a place v of Q is (E_v, Q) with Q(x) = s * N(x) for a scale
+class s in Q_v^x / N(E_v^x).  A collection fixes one line per place, scale
+xi at almost every place, and each local question about it is one Hilbert
+symbol: whether the line represents alpha is (alpha xi, D)_v, negated where
+the line is flipped.  The incoherent collections (local invariants
+multiplying to -1) are the input to the verification, and their coherent
+neighbors (flip one non-split place back) carry the lattice families whose
+point counts form the geometric side.
 
 Lattices are pairs (form, scale): Z^2 with the quadratic form scale * form
 for a primitive positive-definite integral binary form of discriminant D,
@@ -65,46 +66,6 @@ def nonnorm_rep(D, p):
             return Fraction(u)
 
 
-class LocalSpace:
-    """One local Hermitian line (E_v, s*N).  The scale is kept as a normalized
-    class representative: 1 or the canonical non-norm at finite places, +-1
-    at the archimedean place (sign = definiteness)."""
-
-    __slots__ = ("D", "v", "scale")
-
-    def __init__(self, D, v, scale):
-        if not is_fundamental_discriminant(D):
-            raise ValueError(f"{D} is not a fundamental imaginary quadratic discriminant")
-        scale = Fraction(scale)
-        if scale == 0:
-            raise ValueError("a local space needs a nonzero scale")
-        self.D, self.v = D, v
-        if v == INF:
-            self.scale = Fraction(1 if scale > 0 else -1)
-        elif splitting_type(D, v) == "split":
-            self.scale = Fraction(1)
-        else:
-            self.scale = Fraction(1) if hilbert_symbol(scale, D, v) == 1 else nonnorm_rep(D, v)
-
-    def inv(self):
-        """Local invariant (-scale, D)_v.  At the real place this is -1 for the
-        positive-definite line and +1 for the negative-definite one."""
-        return hilbert_symbol(-self.scale, self.D, self.v)
-
-    def represents(self, alpha):
-        alpha = Fraction(alpha)
-        if alpha == 0:
-            raise ValueError("the target 0 is excluded")
-        if self.v == INF:
-            return (alpha > 0) == (self.scale > 0)
-        if splitting_type(self.D, self.v) == "split":
-            return True
-        return hilbert_symbol(alpha * self.scale, self.D, self.v) == 1
-
-    def __repr__(self):
-        return f"LocalSpace(D={self.D}, v={self.v}, scale={self.scale})"
-
-
 class Collection:
     """A collection of local Hermitian lines: scale xi at every finite place,
     flipped (multiplied by a non-norm) at the places in `flips`, and with the
@@ -112,6 +73,12 @@ class Collection:
 
     The default Collection(D, xi) with xi < 0 is incoherent: the finite data
     belongs to the global space (E, xi*N) but the archimedean line does not.
+
+    With eps_v = -1 at a flipped place and +1 elsewhere, the line at a finite
+    v represents alpha iff eps_v (alpha xi, D)_v = 1, and its invariant is
+    eps_v (-xi, D)_v: a flip multiplies the scale by a non-norm, which
+    negates every symbol, and D is a square at a split place, where every
+    symbol is 1.
     """
 
     __slots__ = ("D", "xi", "flips", "arch_neg")
@@ -130,16 +97,15 @@ class Collection:
         self.flips = flips
         self.arch_neg = bool(arch_neg)
 
-    def local_space(self, v):
-        if v == INF:
-            return LocalSpace(self.D, INF, -1 if self.arch_neg else 1)
-        s = self.xi
-        if v in self.flips:
-            s *= nonnorm_rep(self.D, v)
-        return LocalSpace(self.D, v, s)
+    def _sign(self, v):
+        return -1 if v in self.flips else 1
 
     def inv_at(self, v):
-        return self.local_space(v).inv()
+        """Local invariant at v; at the real place -1 for the positive-definite
+        line and +1 for the negative-definite one."""
+        if v == INF:
+            return 1 if self.arch_neg else -1
+        return self._sign(v) * hilbert_symbol(-self.xi, self.D, v)
 
     def support(self):
         """Places where the local invariant can differ from +1."""
@@ -155,16 +121,19 @@ class Collection:
         return self.invariant_product() == 1
 
     def represents_at(self, v, alpha):
-        return self.local_space(v).represents(alpha)
+        """Whether the line at v represents the nonzero target alpha."""
+        alpha = Fraction(alpha)
+        if alpha == 0:
+            raise ValueError("the target 0 is excluded")
+        if v == INF:
+            return (alpha > 0) != self.arch_neg
+        return self._sign(v) * hilbert_symbol(alpha * self.xi, self.D, v) == 1
 
     def diff_set(self, alpha):
         """Places where alpha is not represented locally: finite primes in
         ascending order, INF last when present.  Nonempty exactly when the
         adelic product misses alpha somewhere; for incoherent collections it
         always has odd size."""
-        alpha = Fraction(alpha)
-        if alpha == 0:
-            raise ValueError("the target 0 is excluded")
         cand = sorted({*support_primes(2 * self.D, self.xi, alpha), *self.flips})
         out = [p for p in cand if not self.represents_at(p, alpha)]
         if not self.represents_at(INF, alpha):
@@ -404,8 +373,9 @@ def coherent_neighbor(D, xi, flip_place):
 
     At a finite flip p the base lattice is ((a, b, c), s) with s = |xi| p
     when p is inert and s = |xi| when p is ramified, for the first reduced
-    form (a, b, c) with (s a xi, D)_q = -1 at q = p and +1 at every other
-    prime q | D.  It is the ideal I = Z a + Z (b + sqrt D)/2 of norm a with
+    form (a, b, c) whose value s a the flipped collection represents at p
+    and at every prime q | D: (s a xi, D)_q = -1 at q = p and +1 at the
+    other q.  It is the ideal I = Z a + Z (b + sqrt D)/2 of norm a with
     Q(x) = s N(x) / a, so locally it is (O_q, s N(g) / a) for a local
     generator g of I, and it matches (O, xi) at q != p and the flipped model
     at p exactly when s N(g) / (a xi) (times the non-norm at a ramified p)
@@ -419,7 +389,8 @@ def coherent_neighbor(D, xi, flip_place):
     base = Collection(D, xi)
     if base.is_coherent():
         raise ValueError(f"{base} is coherent; its neighbors need incoherent data")
-    if not base.flipped(flip_place).is_coherent():
+    flipped = base.flipped(flip_place)
+    if not flipped.is_coherent():
         raise ValueError(f"flipping {flip_place} leaves {base} incoherent")
     xi = Fraction(xi)
 
@@ -437,8 +408,7 @@ def coherent_neighbor(D, xi, flip_place):
     places = sorted({p, *ramified_primes(D)})
     family = _class_family(D, scale)
     for lattice in family:
-        t = scale * lattice.form[0] * xi
-        if all(hilbert_symbol(t, D, q) == (-1 if q == p else 1) for q in places):
+        if all(flipped.represents_at(q, scale * lattice.form[0]) for q in places):
             return CoherentNeighbor(
                 D, xi, p, family, lattice, f, _norm_uniformizer(D, p),
                 Lattice.standard(D, flip_scale),

@@ -241,6 +241,27 @@ def test_main_densities_refuses_a_lattice_ideal_that_is_not_prime(capsys, tmp_pa
     assert "configuration error" in captured.err and "not a prime" in captured.err
 
 
+def test_main_densities_at_a_prime_near_a_billion(tmp_path):
+    """The prime above p = 1000000007 (split in Q(sqrt -23)) is found by a
+    modular square root, not by a scan of [0, 2p)."""
+    import os
+    import subprocess
+    import sys
+
+    import siegelweil
+
+    src = os.path.dirname(os.path.dirname(siegelweil.__file__))
+    cfg = tmp_path / "lattice.cfg"
+    cfg.write_text("lattice_ideal = prime:1000000007\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "siegelweil.cli", "densities", str(cfg), "--disc", "-23",
+         "--alpha", "1..3"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "form=['-1000000007', '-92030517', '-2117404']" in run.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["siegel-weil", "--disc", "-24", "--alpha", "1..200"],
     ["verify", "--disc", "-23", "--alpha", "1..64"],

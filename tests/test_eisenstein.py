@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from siegelweil.field import INF, LogLinear
-from siegelweil.hermitian import Collection, coherent_neighbor
+from siegelweil.cycles import arithmetic_degree
+from siegelweil.hermitian import Collection, InternalError, coherent_neighbor
 from siegelweil.localwhittaker import central_value
 from siegelweil.eisenstein import (
     calibration_point,
@@ -133,3 +134,49 @@ def test_scale_convention_is_respected():
     for a in (1, 2, 3, 5):
         lhs, rhs = siegel_weil_check(-4, Fraction(a), xi=-2)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("call", [
+    lambda: siegel_weil_check(-23, -1),
+    lambda: siegel_weil_check(-23, 0),
+    lambda: central_value_coefficient(-23, -1, 0),
+    lambda: derivative_coefficient(-23, -1, 0),
+    lambda: arithmetic_degree(-23, -1, 0),
+])
+def test_bad_targets_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("side", [derivative_coefficient, arithmetic_degree])
+def test_an_empty_diff_set_is_an_internal_error(side):
+    """Both sides assume an incoherent collection, which misses every target
+    somewhere; the coherent xi = 1 represents 1 everywhere."""
+    with pytest.raises(InternalError):
+        side(-4, 1, Fraction(1))
+
+
+def test_bad_targets_are_refused_under_optimisation():
+    """The target checks are explicit exceptions, so `python -O` (which
+    strips asserts) still refuses a negative coherent-value target."""
+    import os
+    import subprocess
+    import sys
+
+    import siegelweil
+
+    src = os.path.dirname(os.path.dirname(siegelweil.__file__))
+    code = (
+        "from siegelweil.eisenstein import siegel_weil_check\n"
+        "print('asserts on:', __debug__)\n"
+        "try:\n"
+        "    print(siegel_weil_check(-23, -1))\n"
+        "except ValueError as e:\n"
+        "    print('refused:', e)\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout == (
+        "asserts on: False\n"
+        "refused: the coherent-value identity needs a positive target, not -1\n"
+    )

@@ -21,6 +21,7 @@ from siegelweil.field import (
     kronecker,
     legendre,
     prime_divisors,
+    prime_form,
     reduce_form,
     reduced_forms,
     splitting_type,
@@ -208,6 +209,23 @@ def test_form_ideal_dictionary():
         cg = class_group(D)
         for f in cg.forms:
             assert form_to_ideal(D, f).to_form() == f
+
+
+def _prime_form_by_scan(D, p):
+    """The definition of prime_form read literally: the least b in [0, 2p)
+    with b^2 = D (mod 4p), or the principal form at an inert p."""
+    if splitting_type(D, p) == "inert":
+        return class_group(D).forms[0]
+    b = next(b for b in range(2 * p) if (b * b - D) % (4 * p) == 0)
+    return (p, b, (b * b - D) // (4 * p))
+
+
+def test_prime_form_matches_the_scan():
+    """The modular square root picks the same b as scanning [0, 2p)."""
+    primes = [p for p in range(2, 3000) if prime_divisors(p) == [p]]
+    for D in (-3, -4, -7, -8, -15, -20, -23, -24, -84, -239, -420):
+        for p in primes:
+            assert prime_form(D, p) == _prime_form_by_scan(D, p), (D, p)
 
 
 # ---------------------------------------------------------------------------

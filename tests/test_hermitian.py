@@ -20,7 +20,6 @@ from siegelweil.hermitian import (
     Collection,
     InternalError,
     Lattice,
-    LocalSpace,
     coherent_neighbor,
     local_class_key,
     nonnorm_rep,
@@ -31,23 +30,28 @@ DISCS = [-3, -4, -7, -8, -11, -20, -23, -24]
 
 def test_local_space_dichotomy():
     """At a nonsplit place exactly one of the two lines represents each
-    nonzero target; at a split place the single line represents everything."""
+    nonzero target, and scaling by the canonical non-norm is the flip; at a
+    split place the single line represents everything."""
+    targets = [Fraction(x) for x in (1, -1, 2, 3, 4, 5, 6, -12, Fraction(1, 2))]
     for D in (-4, -23):
+        plus = Collection(D, 1)
         for p in (2, 3, 5, 7, 11, 23):
-            plus = LocalSpace(D, p, 1)
-            minus = LocalSpace(D, p, nonnorm_rep(D, p)) if kronecker(D, p) != 1 else None
-            for a in [Fraction(x) for x in (1, -1, 2, 3, 4, 5, 6, -12, Fraction(1, 2))]:
-                if minus is None:
-                    assert plus.represents(a)
-                else:
-                    assert plus.represents(a) != minus.represents(a)
+            if kronecker(D, p) == 1:
+                assert all(plus.represents_at(p, a) for a in targets)
+                continue
+            assert hilbert_symbol(nonnorm_rep(D, p), D, p) == -1
+            scaled = Collection(D, nonnorm_rep(D, p))
+            flipped = Collection(D, 1, flips={p})
+            for a in targets:
+                assert scaled.represents_at(p, a) == flipped.represents_at(p, a)
+                assert plus.represents_at(p, a) != flipped.represents_at(p, a)
 
 
 def test_local_space_archimedean():
-    pos = LocalSpace(-4, INF, 1)
-    neg = LocalSpace(-4, INF, -1)
-    assert pos.represents(Fraction(5)) and not pos.represents(Fraction(-5))
-    assert neg.represents(Fraction(-5)) and not neg.represents(Fraction(5))
+    pos = Collection(-4, 1)
+    neg = Collection(-4, 1, arch_neg=True)
+    assert pos.represents_at(INF, Fraction(5)) and not pos.represents_at(INF, Fraction(-5))
+    assert neg.represents_at(INF, Fraction(-5)) and not neg.represents_at(INF, Fraction(5))
 
 
 @pytest.mark.parametrize("D", DISCS)
@@ -277,7 +281,7 @@ def test_neighbor_residue_degrees():
     lambda: Collection(-23, -1, flips={2}),  # 2 splits in Q(sqrt -23)
     lambda: Collection(-23, -1, flips={INF}),
     lambda: Collection(-4, -1, flips={15}),  # (-4/15) = -1, but 15 is no place
-    lambda: LocalSpace(-23, 23, 0),
+    lambda: Collection(-23, -1).represents_at(23, 0),
     lambda: Collection(-23, -1).diff_set(0),
     lambda: nonnorm_rep(-23, 2),             # split: no non-norms
     lambda: coherent_neighbor(-23, Fraction(1), 23),  # coherent base collection
